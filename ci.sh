@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints (warnings are errors), full test suite.
 set -euo pipefail
+# Offline and locked: a stale Cargo.lock or a new registry dependency
+# fails here instead of resolving silently.
+export CARGO_NET_OFFLINE=true
 cd "$(dirname "$0")"
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy (all targets, -D warnings) =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --locked --all-targets -- -D warnings
 
 echo "== cargo test (all targets) =="
-cargo test -q --all-targets
+cargo test -q --locked --all-targets
 
 echo "== metrics export smoke (bench binary + schema gate) =="
 SMOKE_DIR="target/ci-smoke"

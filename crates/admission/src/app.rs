@@ -1,9 +1,7 @@
 //! Applications requesting end-to-end service.
 
 /// Application identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub u32);
 
 impl std::fmt::Display for AppId {
@@ -15,7 +13,7 @@ impl std::fmt::Display for AppId {
 /// Importance of an application for non-symmetric rate allocation
 /// (§V: "transmission rates depend not only on the current system mode
 /// but also on the application's importance").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Importance {
     /// Best-effort traffic: squeezed first when the system fills up.
     BestEffort,
@@ -54,7 +52,7 @@ impl Importance {
 /// assert!(camera.importance.is_critical());
 /// assert_eq!(camera.importance.guaranteed_rate(), 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Application {
     /// The application id.
     pub id: AppId,

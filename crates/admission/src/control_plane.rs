@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use autoplat_sim::{FaultInjector, FaultPlan, MessageFault};
+use autoplat_sim::{FaultInjector, FaultPlan, FaultTally};
 
 use crate::protocol::{BundleFrame, Envelope};
 
@@ -80,9 +80,7 @@ pub struct Link<T> {
     in_flight: BTreeMap<(u64, u64), T>,
     next_uid: u64,
     sent: u64,
-    dropped: u64,
-    delayed: u64,
-    duplicated: u64,
+    faults: FaultTally,
 }
 
 impl<T: Payload> Link<T> {
@@ -95,9 +93,7 @@ impl<T: Payload> Link<T> {
             in_flight: BTreeMap::new(),
             next_uid: 0,
             sent: 0,
-            dropped: 0,
-            delayed: 0,
-            duplicated: 0,
+            faults: FaultTally::default(),
         }
     }
 
@@ -114,22 +110,14 @@ impl<T: Payload> Link<T> {
     /// Submits `payload` at `now_cycle`; the injector decides its fate.
     pub fn send(&mut self, now_cycle: u64, payload: T) {
         self.sent += 1;
-        match self.injector.on_message(now_cycle, payload.class()) {
-            MessageFault::Deliver => {
-                self.enqueue(now_cycle + self.latency_cycles, payload);
-            }
-            MessageFault::Drop => {
-                self.dropped += 1;
-            }
-            MessageFault::Delay(extra) => {
-                self.delayed += 1;
-                self.enqueue(now_cycle + self.latency_cycles + extra, payload);
-            }
-            MessageFault::Duplicate(extra) => {
-                self.duplicated += 1;
-                self.enqueue(now_cycle + self.latency_cycles, payload.clone());
-                self.enqueue(now_cycle + self.latency_cycles + extra, payload);
-            }
+        let verdict = self.injector.on_message(now_cycle, payload.class());
+        let arrival = now_cycle + self.latency_cycles;
+        let (now, later) = self.faults.apply(verdict, payload, |p| Some(p.clone()));
+        if let Some(payload) = now {
+            self.enqueue(arrival, payload);
+        }
+        if let Some((extra, payload)) = later {
+            self.enqueue(arrival + extra, payload);
         }
     }
 
@@ -169,17 +157,17 @@ impl<T: Payload> Link<T> {
 
     /// Messages the injector destroyed.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.faults.dropped
     }
 
     /// Messages delivered late.
     pub fn delayed(&self) -> u64 {
-        self.delayed
+        self.faults.delayed
     }
 
     /// Messages delivered twice.
     pub fn duplicated(&self) -> u64 {
-        self.duplicated
+        self.faults.duplicated
     }
 
     /// The cycle of the most recent injected fault of any kind.

@@ -16,19 +16,7 @@ use autoplat_netcalc::TokenBucket;
 use crate::app::Application;
 
 /// A system mode: the number of currently active applications.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SystemMode(pub usize);
 
 impl std::fmt::Display for SystemMode {

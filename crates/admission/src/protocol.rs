@@ -27,7 +27,7 @@ use crate::app::AppId;
 use crate::modes::SystemMode;
 
 /// A control-layer message.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlMessage {
     /// `actMsg`: a client reports the activation of an application.
     Activation {
@@ -268,9 +268,7 @@ impl ReceiveState {
 // ---------------------------------------------------------------------
 
 /// A per-cluster Resource Manager in the two-level hierarchy.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
 impl std::fmt::Display for ClusterId {

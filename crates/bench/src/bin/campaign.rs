@@ -101,6 +101,9 @@ fn parse_args() -> Result<Args, String> {
     if args.workers == 0 {
         return Err("--workers must be >= 1".into());
     }
+    if args.points == Some(0) {
+        return Err("--points must be >= 1".into());
+    }
     if (args.resume || args.kill_after_chunks.is_some()) && args.checkpoint_dir.is_none() {
         return Err("--resume / --kill-after-chunks need --checkpoint-dir".into());
     }

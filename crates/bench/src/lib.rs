@@ -1,8 +1,7 @@
 //! Experiment library for regenerating the paper's tables and figures.
 //!
 //! Every table/figure of the DATE'21 paper has a function here returning
-//! structured rows; the `src/bin/*` binaries print them and the Criterion
-//! benches in `benches/` time the underlying computations. See
+//! structured rows; the `src/bin/*` binaries print them. See
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record.
 

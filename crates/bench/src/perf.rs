@@ -1,11 +1,10 @@
 //! Kernel and co-simulation perf baselines.
 //!
-//! One set of deterministic workloads, used twice: the Criterion target
-//! `benches/kernel.rs` times them interactively, and the `perf` binary
-//! runs them once and exports the measured throughputs through the
-//! `autoplat.metrics.v1` schema as `BENCH_kernel.json` /
-//! `BENCH_cosim.json` — the perf-trajectory artifacts every later PR is
-//! measured against. Unlike every other export in the workspace these
+//! One set of deterministic workloads, which the `perf` binary runs once
+//! and exports as measured throughputs through the `autoplat.metrics.v1`
+//! schema as `BENCH_kernel.json` / `BENCH_cosim.json` — the
+//! perf-trajectory artifacts that `perf_check` gates every later change
+//! against. Unlike every other export in the workspace these
 //! files intentionally carry wall-clock-derived gauges; the counters
 //! beside them record the deterministic workload sizes so a reader can
 //! tell what was measured.
@@ -25,7 +24,7 @@ use autoplat_sim::{Engine, EventQueue, MetricsRegistry, Process, SimDuration, Si
 
 /// The two queue implementations under one face, so every workload runs
 /// identically against the calendar queue and the heap baseline.
-pub trait BenchQueue: Default {
+trait BenchQueue: Default {
     /// Human-readable implementation name used in metric keys.
     const NAME: &'static str;
     fn schedule(&mut self, at: SimTime, payload: u64);
@@ -119,7 +118,7 @@ impl PerfScale {
 /// delay into the future. This is the canonical priority-queue benchmark
 /// and the closest match to a simulator's mostly-monotonic hot path.
 /// Returns events cycled through the queue (checksum-guarded).
-pub fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
+fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0x5EED);
     for i in 0..population {
@@ -139,7 +138,7 @@ pub fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
 /// Burst model: schedule `n` events at seeded random times, then drain the
 /// queue dry. Exercises bucket distribution + per-bucket sorting against
 /// the heap's `O(n log n)`.
-pub fn burst<Q: BenchQueue>(n: u64) -> u64 {
+fn burst<Q: BenchQueue>(n: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0xB17E);
     for i in 0..n {
@@ -155,7 +154,7 @@ pub fn burst<Q: BenchQueue>(n: u64) -> u64 {
 /// Tie-heavy model: `n` events over only `instants` distinct timestamps,
 /// so same-instant FIFO batches dominate — the case the batched delivery
 /// path amortizes.
-pub fn tie_burst<Q: BenchQueue>(n: u64, instants: u64) -> u64 {
+fn tie_burst<Q: BenchQueue>(n: u64, instants: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0x71E5);
     for i in 0..n {
@@ -186,7 +185,7 @@ impl Process for Chain {
 }
 
 /// Runs the self-rescheduling chain; returns events delivered.
-pub fn engine_chain(events: u64) -> u64 {
+fn engine_chain(events: u64) -> u64 {
     let mut engine = Engine::new();
     engine.schedule_at(SimTime::ZERO, ());
     let mut chain = Chain { remaining: events };
@@ -217,7 +216,7 @@ impl Process for Batcher {
 }
 
 /// Runs the same-instant batch workload; returns events delivered.
-pub fn engine_batches(width: u64, rounds: u64) -> u64 {
+fn engine_batches(width: u64, rounds: u64) -> u64 {
     let mut engine = Engine::new();
     engine.schedule_at(SimTime::ZERO, 0);
     let mut p = Batcher { width, rounds };
@@ -229,7 +228,7 @@ pub fn engine_batches(width: u64, rounds: u64) -> u64 {
 /// admission under one clock) to `horizon`; returns kernel events
 /// delivered. This is the kick-path number: everything flows through
 /// `Engine::run_until`.
-pub fn cosim_kick(horizon: SimTime) -> u64 {
+fn cosim_kick(horizon: SimTime) -> u64 {
     let mut cfg = CoSimConfig::small();
     cfg.horizon = horizon;
     CoSim::new(cfg).run().events_delivered

@@ -7,19 +7,7 @@ use crate::replacement::{Lru, RandomReplacement, ReplacementPolicy, TreePlru};
 
 /// Identifier of a traffic flow (workload, VM, scheme ID, PARTID — whatever
 /// granularity the partitioning mechanism labels).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FlowId(pub u32);
 
 impl std::fmt::Display for FlowId {
@@ -93,7 +81,7 @@ impl AccessOutcome {
 }
 
 /// Per-flow statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Lookup hits.
     pub hits: u64,

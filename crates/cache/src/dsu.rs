@@ -42,9 +42,7 @@ pub const SCHEME_IDS: u32 = 8;
 /// assert!(SchemeId::new(8).is_err());
 /// # Ok::<(), autoplat_cache::dsu::SchemeIdError>(())
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemeId(u8);
 
 /// Error creating a [`SchemeId`] out of range.
@@ -91,9 +89,7 @@ impl std::fmt::Display for SchemeId {
 }
 
 /// One of the four L3 partition groups.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionGroup(u8);
 
 impl PartitionGroup {
@@ -152,7 +148,7 @@ impl PartitionGroup {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterPartCr(u32);
 
 /// Error decoding a `CLUSTERPARTCR` value.
@@ -284,7 +280,7 @@ impl std::fmt::LowerHex for ClusterPartCr {
 /// assert_eq!(rtos.effective(0b000).value(), 0b010);
 /// assert_eq!(rtos.effective(0b111).value(), 0b011);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeOverride {
     mask: u8,
     value: u8,

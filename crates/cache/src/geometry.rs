@@ -12,7 +12,7 @@
 /// assert_eq!(g.capacity_bytes(), 1024 * 1024);
 /// assert_eq!(g.set_index(0x1_0040), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     sets: u32,
     ways: u32,

@@ -7,7 +7,7 @@
 //! to talk about consolidation scenarios.
 
 /// An architecture class for the E/E system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EeArchitecture {
     /// The traditional baseline: one function, one control unit.
     Decentralized,
@@ -50,7 +50,7 @@ impl std::fmt::Display for EeArchitecture {
 }
 
 /// A functional domain of the vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Engine/drive control.
     Powertrain,
@@ -65,7 +65,7 @@ pub enum Domain {
 }
 
 /// A software function to be deployed (e.g. a legacy ECU's logic).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VehicleFunction {
     /// Function name.
     pub name: String,

@@ -50,7 +50,7 @@ use autoplat_regulation::{
 use autoplat_sim::engine::{EventSink, MapSink, Process};
 use autoplat_sim::metrics::MetricsRegistry;
 use autoplat_sim::{
-    Engine, FaultInjector, FaultPlan, MessageFault, SimDuration, SimRng, SimTime, Summary,
+    Engine, FaultInjector, FaultPlan, FaultTally, SimDuration, SimRng, SimTime, Summary,
 };
 
 /// One periodic traffic task of the co-simulation.
@@ -598,7 +598,7 @@ pub struct CoSim {
     dram_row_misses: u64,
     controls_applied: u64,
     controls_refused: u64,
-    controls_dropped: u64,
+    control_faults: FaultTally,
     qos: Option<QosState>,
 }
 
@@ -695,7 +695,7 @@ impl CoSim {
             dram_row_misses: 0,
             controls_applied: 0,
             controls_refused: 0,
-            controls_dropped: 0,
+            control_faults: FaultTally::default(),
             qos,
         }
     }
@@ -751,7 +751,7 @@ impl CoSim {
         metrics.gauge_set("cosim.dram.busy_ns", self.dram.busy().as_ns());
         metrics.counter_add("cosim.controls.applied", self.controls_applied);
         metrics.counter_add("cosim.controls.refused", self.controls_refused);
-        metrics.counter_add("cosim.controls.dropped", self.controls_dropped);
+        metrics.counter_add("cosim.controls.dropped", self.control_faults.dropped);
         metrics.counter_add("cosim.replenishments", self.memguard.replenishments());
         metrics.gauge_set("cosim.finished_at_ns", engine.now().as_ns());
 
@@ -821,7 +821,7 @@ impl CoSim {
             replenishments: self.memguard.replenishments(),
             controls_applied: self.controls_applied,
             controls_refused: self.controls_refused,
-            controls_dropped: self.controls_dropped,
+            controls_dropped: self.control_faults.dropped,
             finished_at: engine.now(),
             events_delivered: engine.delivered(),
             tasks: task_reports,
@@ -1214,22 +1214,16 @@ impl Process for CoSim {
             CoSimEvent::Control(cmd) => {
                 let now = sink.now();
                 let cycle = now.as_ns() as u64;
-                match self.injector.on_message(cycle, control_class(&cmd)) {
-                    MessageFault::Deliver => self.apply(cmd),
-                    MessageFault::Drop => self.controls_dropped += 1,
-                    MessageFault::Delay(cycles) => {
-                        sink.schedule_at(
-                            now + SimDuration::from_ns(cycles as f64),
-                            CoSimEvent::Control(cmd),
-                        );
-                    }
-                    MessageFault::Duplicate(cycles) => {
-                        sink.schedule_at(
-                            now + SimDuration::from_ns(cycles as f64),
-                            CoSimEvent::Control(cmd.clone()),
-                        );
-                        self.apply(cmd);
-                    }
+                let verdict = self.injector.on_message(cycle, control_class(&cmd));
+                let (deliver, later) = self.control_faults.apply(verdict, cmd, |c| Some(c.clone()));
+                if let Some((cycles, cmd)) = later {
+                    sink.schedule_at(
+                        now + SimDuration::from_ns(cycles as f64),
+                        CoSimEvent::Control(cmd),
+                    );
+                }
+                if let Some(cmd) = deliver {
+                    self.apply(cmd);
                 }
             }
             CoSimEvent::Epoch => {

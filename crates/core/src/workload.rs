@@ -9,7 +9,7 @@
 use autoplat_sim::SimRng;
 
 /// The kind of memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// A blocking read (on the critical path).
     Read,

@@ -13,7 +13,7 @@
 /// assert_eq!(cfg.n_wd, 16);
 /// assert_eq!(cfg.n_cap, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// High watermark: switch to write mode when the write queue holds at
     /// least this many requests.

@@ -7,7 +7,7 @@ use autoplat_sim::SimTime;
 ///
 /// The WCD analysis focuses on reads ("the former are on the critical path
 /// for the master requesting them, whereas \[writes\] can be deferred").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// A read access (latency-critical).
     Read,
@@ -27,19 +27,7 @@ impl std::fmt::Display for RequestKind {
 /// Identifier of the master (CPU core, accelerator, DMA engine) issuing a
 /// request, used for per-master latency accounting and MPAM-style
 /// labelling.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MasterId(pub u32);
 
 impl std::fmt::Display for MasterId {
@@ -61,7 +49,7 @@ impl std::fmt::Display for MasterId {
 /// assert_eq!(req.kind, RequestKind::Read);
 /// assert_eq!(req.row, 42);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Unique request id (assigned by the issuer).
     pub id: u64,
@@ -104,7 +92,7 @@ impl Request {
 }
 
 /// Outcome of one served request, reported by the controller simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request that completed.
     pub request: Request,

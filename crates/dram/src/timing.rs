@@ -23,7 +23,7 @@ use autoplat_sim::SimDuration;
 /// // Derived: the row cycle time tRC = tRAS + tRP.
 /// assert_eq!(t.t_rc(), 48.75);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramTiming {
     /// Device name, e.g. `"DDR3-1600"`.
     pub name: String,

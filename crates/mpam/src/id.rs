@@ -2,19 +2,7 @@
 
 /// A partition identifier: labels the partition a memory request belongs
 /// to, "for the purpose of monitoring and control".
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PartId(pub u16);
 
 impl std::fmt::Display for PartId {
@@ -26,19 +14,7 @@ impl std::fmt::Display for PartId {
 /// A performance monitoring group identifier: labels agents *within* a
 /// partition "for the purpose of monitoring" — e.g. individual processes
 /// or threads of a workload that shares one PARTID-wide control policy.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Pmg(pub u8);
 
 impl std::fmt::Display for Pmg {
@@ -53,7 +29,7 @@ impl std::fmt::Display for Pmg {
 /// state of the requesting agent and travels with requests as the
 /// `MPAM_NS` bit; the physical/virtual split distinguishes
 /// hypervisor-managed physical PARTIDs from guest-managed virtual ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartIdSpace {
     /// Physical non-secure: non-virtualised non-secure software.
     PhysicalNonSecure,
@@ -133,7 +109,7 @@ impl std::fmt::Display for PartIdSpace {
 /// assert!(!l.space().mpam_ns());
 /// assert_eq!(l.to_string(), "PARTID5/PMG2 (physical secure)");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MpamLabel {
     partid: PartId,
     pmg: Pmg,

@@ -16,7 +16,7 @@
 use crate::id::{MpamLabel, PartId, Pmg};
 
 /// Request-type filter of a monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestType {
     /// Match only reads.
     Read,
@@ -37,7 +37,7 @@ impl RequestType {
 }
 
 /// Label filter of a monitor: PARTID always matches; PMG optionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorFilter {
     /// The PARTID to match.
     pub partid: PartId,

@@ -20,7 +20,7 @@ use crate::curve::PiecewiseLinear;
 /// assert_eq!(writes.bound(0.0), 8.0);
 /// assert!((writes.bound(1000.0) - (8.0 + 7.8125)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenBucket {
     burst: f64,
     rate: f64,

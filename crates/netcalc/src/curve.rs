@@ -24,7 +24,7 @@ const EPS: f64 = 1e-12;
 /// assert_eq!(beta.value(1.0), 0.0);
 /// assert_eq!(beta.value(4.0), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     points: Vec<(f64, f64)>,
     final_slope: f64,

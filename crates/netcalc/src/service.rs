@@ -19,7 +19,7 @@ use crate::curve::PiecewiseLinear;
 /// assert_eq!(beta.guarantee(2.0), 0.0);
 /// assert_eq!(beta.guarantee(5.0), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLatency {
     rate: f64,
     latency: f64,

@@ -8,7 +8,7 @@
 use crate::topology::NodeId;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitKind {
     /// First flit: claims the wormhole path.
     Head,
@@ -33,7 +33,7 @@ impl FlitKind {
 }
 
 /// One flow-control unit travelling the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
     pub packet: u64,
@@ -63,7 +63,7 @@ pub struct Flit {
 /// assert_eq!(flits[0].kind, FlitKind::Head);
 /// assert_eq!(flits[2].kind, FlitKind::Tail);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Unique packet id.
     pub id: u64,

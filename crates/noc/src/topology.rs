@@ -1,9 +1,7 @@
 //! 2D-mesh topology and dimension-ordered (XY) routing.
 
 /// A router/node position in the mesh, stored as a flat index.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -25,7 +23,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// A router port direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// The node-local injection/ejection port.
     Local,
@@ -85,7 +83,7 @@ impl Direction {
 /// // XY routing goes East first.
 /// assert_eq!(mesh.route_xy(src, dst), Direction::East);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     cols: u32,
     rows: u32,

@@ -15,11 +15,10 @@
 //! cache or MPAM crates and stays unit-testable in isolation.
 
 use autoplat_sim::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// One regulated partition: which core it maps to and the bandwidth
 /// envelope the controller steers towards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionTarget {
     /// MPAM partition id whose bandwidth monitor feeds this target.
     pub partid: u16,
@@ -36,7 +35,7 @@ pub struct PartitionTarget {
 }
 
 /// Plausibility screen applied to every reading before the control law.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SensorWatchdogConfig {
     /// A reading identical to the previous one for this many consecutive
     /// epochs is flagged as stale (a frozen sensor).
@@ -48,7 +47,7 @@ pub struct SensorWatchdogConfig {
 }
 
 /// Full closed-loop configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosedLoopConfig {
     /// Partitions under regulation, in actuation order.
     pub targets: Vec<PartitionTarget>,
@@ -70,7 +69,7 @@ pub struct MonitorCapture {
 }
 
 /// Why the controller abandoned closed-loop operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationReason {
     /// Readings froze: identical values beyond the stale threshold.
     StaleReadings,

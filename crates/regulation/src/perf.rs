@@ -6,7 +6,7 @@
 use autoplat_sim::SimTime;
 
 /// A snapshot of one core's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSample {
     /// Memory accesses since the last reset.
     pub accesses: u64,

@@ -4,9 +4,7 @@ use autoplat_sim::{SimDuration, SimRng};
 
 /// Criticality of a task, in the ISO 26262 spirit of §II's
 //  mixed-criticality integration scenarios.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Criticality {
     /// Best-effort / QM workload ("app"-like software).
     BestEffort,
@@ -31,7 +29,7 @@ pub enum Criticality {
 /// assert_eq!(t.utilization(), 0.2);
 /// assert_eq!(t.deadline, t.period); // implicit deadline
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Task {
     /// Task identifier.
     pub id: u32,

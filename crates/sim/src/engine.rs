@@ -59,7 +59,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::EventQueue;
-use crate::fault::{FaultInjector, MessageFault};
+use crate::fault::{FaultInjector, FaultTally, MessageFault};
 use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
 
@@ -213,9 +213,7 @@ pub struct Engine<E> {
     /// Captured `Clone::clone`, so `Duplicate` faults work without putting
     /// a `Clone` bound on every run method.
     cloner: Option<fn(&E) -> E>,
-    dropped: u64,
-    delayed: u64,
-    duplicated: u64,
+    faults: FaultTally,
 }
 
 impl<E> Engine<E> {
@@ -235,9 +233,7 @@ impl<E> Engine<E> {
             injector: None,
             fault_cycle: SimDuration::from_ps(1_000),
             cloner: None,
-            dropped: 0,
-            delayed: 0,
-            duplicated: 0,
+            faults: FaultTally::default(),
         }
     }
 
@@ -278,7 +274,7 @@ impl<E> Engine<E> {
 
     /// Events discarded by the fault injector.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.faults.dropped
     }
 
     /// Schedules an initial event at an absolute time.
@@ -389,26 +385,24 @@ impl<E> Engine<E> {
             return Some(event);
         };
         let cycle = at.as_ps() / self.fault_cycle.as_ps();
-        match injector.on_message(cycle, tag) {
-            MessageFault::Deliver => Some(event),
-            MessageFault::Drop => {
-                self.dropped += 1;
-                None
-            }
-            MessageFault::Delay(cycles) => {
-                self.delayed += 1;
-                self.queue.schedule(at + self.fault_cycle * cycles, event);
-                None
-            }
-            MessageFault::Duplicate(cycles) => {
-                self.duplicated += 1;
-                if let Some(cloner) = self.cloner {
-                    let copy = cloner(&event);
-                    self.queue.schedule(at + self.fault_cycle * cycles, copy);
-                }
-                Some(event)
-            }
+        let verdict = injector.on_message(cycle, tag);
+        self.apply_fault(at, verdict, event)
+    }
+
+    /// The verdict half of [`Engine::filter`], kept out of line so the
+    /// fault-free path stays small: with this inside `filter`, the
+    /// `cosim_qos` benchmark ran 6–10% slower (2-vCPU host).
+    #[cold]
+    #[inline(never)]
+    fn apply_fault(&mut self, at: SimTime, verdict: MessageFault, event: E) -> Option<E> {
+        let cloner = self.cloner;
+        let (now, later) = self
+            .faults
+            .apply(verdict, event, |e| cloner.map(|clone| clone(e)));
+        if let Some((cycles, event)) = later {
+            self.queue.schedule(at + self.fault_cycle * cycles, event);
         }
+        now
     }
 
     /// Number of still-pending events.
@@ -425,9 +419,9 @@ impl<E> Engine<E> {
         for (tag, n) in &self.tag_counts {
             metrics.counter_add(format!("engine.events.{tag}"), *n);
         }
-        metrics.counter_add("engine.events_dropped", self.dropped);
-        metrics.counter_add("engine.events_delayed", self.delayed);
-        metrics.counter_add("engine.events_duplicated", self.duplicated);
+        metrics.counter_add("engine.events_dropped", self.faults.dropped);
+        metrics.counter_add("engine.events_delayed", self.faults.delayed);
+        metrics.counter_add("engine.events_duplicated", self.faults.duplicated);
         metrics.counter_add(
             "engine.faults_injected",
             self.injector.as_ref().map_or(0, |i| i.injected()),

@@ -50,6 +50,49 @@ pub enum MessageFault {
     Duplicate(u64),
 }
 
+/// Per-verdict counts of the message faults applied at one fault site.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultTally {
+    /// Messages lost.
+    pub dropped: u64,
+    /// Messages delivered late.
+    pub delayed: u64,
+    /// Messages delivered twice.
+    pub duplicated: u64,
+}
+
+impl FaultTally {
+    /// The one rule for applying a [`MessageFault`] verdict to `msg`,
+    /// shared by every fault site. Counts the verdict and returns the
+    /// message to deliver now, if any, and the message to re-deliver after
+    /// a lag in cycles, if any. A duplicate re-delivers `copy(&msg)`; a
+    /// site that cannot copy returns `None` and the duplicate is delivered
+    /// once.
+    pub fn apply<T>(
+        &mut self,
+        verdict: MessageFault,
+        msg: T,
+        copy: impl FnOnce(&T) -> Option<T>,
+    ) -> (Option<T>, Option<(u64, T)>) {
+        match verdict {
+            MessageFault::Deliver => (Some(msg), None),
+            MessageFault::Drop => {
+                self.dropped += 1;
+                (None, None)
+            }
+            MessageFault::Delay(lag) => {
+                self.delayed += 1;
+                (None, Some((lag, msg)))
+            }
+            MessageFault::Duplicate(lag) => {
+                self.duplicated += 1;
+                let again = copy(&msg).map(|c| (lag, c));
+                (Some(msg), again)
+            }
+        }
+    }
+}
+
 /// A scripted client-level fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientFault {

@@ -1,9 +1,9 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The workspace builds offline (the vendored `serde` is a derive-only
-//! facade with no runtime traits), so the observability exporters carry
-//! their own small JSON implementation. It is deliberately tiny: a value
-//! tree, a deterministic compact writer, and a recursive-descent parser
+//! The workspace builds offline with no serialization crate, so the
+//! observability exporters and campaign checkpoints carry their own small
+//! JSON implementation. It is deliberately tiny: a value tree, a
+//! deterministic compact writer, and a recursive-descent parser
 //! sufficient for round-tripping the exporters' own output.
 //!
 //! Determinism matters here: the metrics determinism test asserts two

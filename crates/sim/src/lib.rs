@@ -40,8 +40,8 @@ pub mod trace;
 pub use engine::{Engine, EventSink, MapSink, Process, Scheduler};
 pub use event::EventQueue;
 pub use fault::{
-    ClientFault, FaultInjector, FaultPlan, MessageFault, ScriptedSensorFault, SensorFault,
-    SensorFaultKind,
+    ClientFault, FaultInjector, FaultPlan, FaultTally, MessageFault, ScriptedSensorFault,
+    SensorFault, SensorFaultKind,
 };
 pub use json::JsonValue;
 pub use metrics::{HistogramSketch, MetricsRegistry, Span};

@@ -22,7 +22,7 @@ use std::fmt;
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -169,7 +169,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
     bins: Vec<u64>,

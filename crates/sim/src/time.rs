@@ -27,19 +27,7 @@ pub const PS_PER_S: u64 = 1_000_000_000_000;
 /// let t = SimTime::from_ns(1.25) + SimDuration::from_ns(3.75);
 /// assert_eq!(t.as_ns(), 5.0);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in integer picoseconds.
@@ -52,19 +40,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_ns(2.5) * 4;
 /// assert_eq!(d.as_ns(), 10.0);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -20,7 +20,7 @@ use crate::json::JsonValue;
 use crate::time::SimTime;
 
 /// One timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When the event occurred.
     pub at: SimTime,
