@@ -99,6 +99,13 @@ cargo run -q --release -p autoplat-bench --bin campaign -- --smoke --determinist
     --workers 4 --export-json "$SMOKE_DIR/campaign_w4.json" >/dev/null
 cmp "$SMOKE_DIR/campaign_w2.json" "$SMOKE_DIR/campaign_w4.json"
 
+echo "== campaign finest-grain reshard (1 worker, one-point chunks, byte-identical) =="
+# One chunk per point drives the runner's pull loop and per-chunk
+# checkpointing at its finest grain; the export must not move a byte.
+cargo run -q --release -p autoplat-bench --bin campaign -- --smoke --deterministic \
+    --workers 1 --chunk-points 1 --export-json "$SMOKE_DIR/campaign_w1_c1.json" >/dev/null
+cmp "$SMOKE_DIR/campaign_w2.json" "$SMOKE_DIR/campaign_w1_c1.json"
+
 echo "== campaign kill-and-resume (manifest schema gate + byte-identical resume) =="
 CAMPAIGN_CKPT="$SMOKE_DIR/campaign_ckpt"
 rm -rf "$CAMPAIGN_CKPT"

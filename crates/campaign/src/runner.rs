@@ -1,5 +1,12 @@
 //! The map-reduce coordinator: fan points across workers, reduce in
-//! serial order, checkpoint between waves.
+//! serial order, checkpoint after each chunk.
+//!
+//! Workers pull the next pending chunk from a shared counter, so a slow
+//! chunk never leaves the other workers idle behind a barrier. Finished
+//! chunks travel over a channel to the calling thread, which alone
+//! touches the checkpoint store: it persists each chunk as it arrives
+//! (shard first, then the sorted manifest), so a kill loses at most the
+//! chunks in flight.
 //!
 //! Determinism contract: the final report depends only on the spec and
 //! the executed point set — never on worker count, scheduling order or
@@ -11,6 +18,8 @@
 //! bits as an uninterrupted one.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use autoplat_conformance::Oracle;
 use autoplat_sim::MetricsRegistry;
@@ -32,7 +41,7 @@ pub struct CampaignConfig {
     /// Points per checkpoint chunk (also the unit of work handed to a
     /// worker). Clamped to at least 1.
     pub chunk_points: u64,
-    /// Worker threads per wave. Clamped to at least 1.
+    /// Worker threads pulling chunks. Clamped to at least 1.
     pub workers: usize,
     /// The conformance oracle each point's scenario is checked against.
     pub oracle: Oracle,
@@ -164,6 +173,31 @@ fn run_chunk(cfg: &CampaignConfig, chunk: u64) -> Vec<PointOutcome> {
         .collect()
 }
 
+/// Writes one finished chunk's shard, then the manifest that records
+/// it, so every manifest on disk lists only chunks whose shards were
+/// written before it.
+fn persist_chunk(
+    cfg: &CampaignConfig,
+    store: &mut dyn CheckpointStore,
+    manifest: &mut Manifest,
+    chunk: u64,
+    outs: &[PointOutcome],
+) -> Result<(), CampaignError> {
+    let (start, end) = cfg.chunk_range(chunk);
+    let mut rec = ChunkRecord {
+        chunk,
+        start,
+        end,
+        hash: 0,
+    };
+    let json = shard_to_json(&rec, outs);
+    rec.hash = fnv1a64(json.as_bytes());
+    store.write(&shard_file(chunk), &json)?;
+    manifest.chunks.push(rec);
+    manifest.chunks.sort_by_key(|c| c.chunk);
+    store.write(MANIFEST_FILE, &manifest.to_json())
+}
+
 /// Runs the whole campaign in memory (no resumable state on disk) and
 /// returns the reduced report. Internally identical to a checkpointed
 /// run against an in-memory store, so both paths serialize shards —
@@ -268,37 +302,41 @@ pub fn run_checkpointed(
         pending.truncate(limit as usize);
     }
 
-    for wave in pending.chunks(cfg.workers.max(1)) {
-        // Map: one worker per chunk of the wave, any finish order.
-        let results: Vec<(u64, Vec<PointOutcome>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|&chunk| s.spawn(move || (chunk, run_chunk(cfg, chunk))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
-        // Persist the wave, then the manifest, so a kill between waves
-        // loses at most the in-flight wave.
-        for (chunk, outs) in results {
-            let (start, end) = cfg.chunk_range(chunk);
-            let mut rec = ChunkRecord {
-                chunk,
-                start,
-                end,
-                hash: 0,
-            };
-            let json = shard_to_json(&rec, &outs);
-            rec.hash = fnv1a64(json.as_bytes());
-            store.write(&shard_file(chunk), &json)?;
-            manifest.chunks.push(rec);
+    // Map: each worker pulls the next pending chunk until none is left;
+    // chunks finish in any order. Persist: this thread writes each
+    // finished chunk's shard, then the manifest, as it arrives. A store
+    // error moves `next` past the end, so workers stop pulling, and is
+    // returned once the scope has joined them. `Relaxed` suffices: the
+    // counter only hands out indices into the immutable `pending`, and
+    // chunk results travel over the channel.
+    let next = AtomicUsize::new(0);
+    let workers = cfg.workers.max(1).min(pending.len());
+    let persisted = std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel::<(u64, Vec<PointOutcome>)>();
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let (next, pending) = (&next, &pending);
+            s.spawn(move || {
+                while let Some(&chunk) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    if tx.send((chunk, run_chunk(cfg, chunk))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        // Only the workers hold senders now, so the receive loop ends
+        // when the last of them finishes.
+        drop(tx);
+        for (chunk, outs) in rx {
+            if let Err(e) = persist_chunk(cfg, store, &mut manifest, chunk, &outs) {
+                next.store(pending.len(), Ordering::Relaxed);
+                return Err(e);
+            }
             outcomes.extend(outs);
         }
-        manifest.chunks.sort_by_key(|c| c.chunk);
-        store.write(MANIFEST_FILE, &manifest.to_json())?;
-    }
+        Ok(())
+    });
+    persisted?;
 
     let completed_chunks = manifest.chunks.len() as u64;
     if completed_chunks == total_chunks {

@@ -880,13 +880,11 @@ impl CoSim {
     /// completion releases the response packet back into the mesh),
     /// responses to their issuing job.
     fn drain_noc(&mut self, sink: &mut dyn EventSink<CoSimEvent>) {
-        let completed = self.noc.completed();
-        let arrivals: Vec<(u64, SimTime)> = completed[self.noc_cursor..]
-            .iter()
-            .map(|r| (r.packet.id, r.ejected_at))
-            .collect();
-        self.noc_cursor = completed.len();
-        for (pid, at) in arrivals {
+        // Injecting response packets below never appends to `completed`,
+        // so walking it by index sees exactly this tick's ejections.
+        while let Some(&rec) = self.noc.completed().get(self.noc_cursor) {
+            self.noc_cursor += 1;
+            let (pid, at) = (rec.packet.id, rec.ejected_at);
             match self.packet_map.remove(&pid) {
                 Some(PacketInfo::Request { task, job, addr }) => {
                     // The partitioned last-level cache sits in front of

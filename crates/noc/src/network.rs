@@ -12,6 +12,12 @@
 //! release times instead of stepping through them cycle by cycle — a real
 //! win on sparse traffic. [`NocSim::step`] remains the tick-stepped
 //! primitive (one cycle of movement) that each delivered tick executes.
+//!
+//! A step makes no per-cycle allocation: the decided moves and the port
+//! reservations live in buffers owned by [`NocSim`] and reused every
+//! cycle, arbitration candidates sit in a stack array, and routers with
+//! empty buffers are skipped outright (they can decide no move, so no
+//! lock or round-robin pointer would change).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -104,6 +110,7 @@ pub enum NocEvent {
 }
 
 /// A decided flit movement (phase A result).
+#[derive(Debug, Clone, Copy)]
 enum Move {
     Forward {
         from: usize,
@@ -150,9 +157,17 @@ pub struct NocSim {
     /// any; stale (superseded) ticks are recognised and ignored.
     scheduled: Option<SimTime>,
     latency: Summary,
-    /// Flit traversals per directed link, keyed by (router, output port).
-    /// Ordered so hotspot reports are deterministic.
-    link_flits: BTreeMap<(u32, usize), u64>,
+    /// Flit traversals per directed link, indexed `node * 5 + output
+    /// port`, so every walk is in (node, direction) order.
+    link_flits: Vec<u64>,
+    /// Flits buffered across all routers, kept in step with every push
+    /// and pop so activation checks need no scan.
+    buffered: usize,
+    /// Phase-A scratch reused by every [`NocSim::step`]: the decided
+    /// moves, and per router the input ports already claimed by an
+    /// incoming flit this cycle.
+    moves: Vec<Move>,
+    reserved: Vec<[bool; 5]>,
 }
 
 impl NocSim {
@@ -167,6 +182,7 @@ impl NocSim {
             .map(|n| Router::new(NodeId(n), config.buffer_flits))
             .collect();
         let sources = (0..mesh.nodes()).map(|_| VecDeque::new()).collect();
+        let nodes = mesh.nodes() as usize;
         let cycle_time = SimDuration::from_ns(config.cycle_ns);
         assert!(
             cycle_time > SimDuration::ZERO,
@@ -183,7 +199,10 @@ impl NocSim {
             cycle_time,
             scheduled: None,
             latency: Summary::new(),
-            link_flits: BTreeMap::new(),
+            link_flits: vec![0; nodes * 5],
+            buffered: 0,
+            moves: Vec::new(),
+            reserved: vec![[false; 5]; nodes],
         }
     }
 
@@ -254,14 +273,20 @@ impl NocSim {
             if can_release && self.routers[n].has_space(Direction::Local) {
                 let (flit, _) = self.sources[n].pop_front().expect("front exists");
                 self.routers[n].push(Direction::Local, flit);
+                self.buffered += 1;
             }
         }
 
-        // Phase A: decide one movement per (router, output port).
-        let mut moves: Vec<Move> = Vec::new();
-        // Downstream ports that already have an incoming flit this cycle.
-        let mut reserved: Vec<[bool; 5]> = vec![[false; 5]; self.routers.len()];
+        // Phase A: decide one movement per (router, output port). The
+        // scratch buffers are taken out of `self` for the cycle and put
+        // back afterwards, keeping their capacity.
+        let mut moves = std::mem::take(&mut self.moves);
+        let mut reserved = std::mem::take(&mut self.reserved);
+        reserved.fill([false; 5]);
         for r in 0..self.routers.len() {
+            if self.routers[r].total_buffered() == 0 {
+                continue;
+            }
             for out in 0..5 {
                 let decided = self.decide_output(r, out, &reserved);
                 if let Some(mv) = decided {
@@ -274,7 +299,7 @@ impl NocSim {
         }
 
         // Phase B: apply.
-        for mv in moves {
+        for &mv in &moves {
             match mv {
                 Move::Forward {
                     from,
@@ -283,14 +308,12 @@ impl NocSim {
                     to_port,
                 } => {
                     let flit = self.routers[from].pop(in_port).expect("decided flit");
-                    *self
-                        .link_flits
-                        .entry((from as u32, to_port.opposite().index()))
-                        .or_default() += 1;
+                    self.link_flits[from * 5 + to_port.opposite().index()] += 1;
                     self.routers[to].push(to_port, flit);
                 }
                 Move::Eject { from, in_port } => {
                     let flit = self.routers[from].pop(in_port).expect("decided flit");
+                    self.buffered -= 1;
                     if flit.kind.is_tail() {
                         let (packet, injected_at) = self
                             .in_flight
@@ -308,6 +331,9 @@ impl NocSim {
                 }
             }
         }
+        moves.clear();
+        self.moves = moves;
+        self.reserved = reserved;
         self.now += self.cycle_time;
     }
 
@@ -359,27 +385,28 @@ impl NocSim {
 
         // New wormhole: head flits at input ports routing to this output.
         // MPAM-style priority partitioning: the highest packet priority
-        // wins arbitration; round-robin breaks ties (§III-B.4).
-        let candidates: Vec<usize> = (0..5)
-            .filter(|&p| match self.routers[r].head_flit(p) {
-                Some(f) if f.kind.is_head() => self.mesh.route_xy(node, f.dest) == out_dir,
-                _ => false,
-            })
-            .collect();
-        let top_priority = candidates
-            .iter()
-            .filter_map(|&p| self.routers[r].head_flit(p).map(|f| f.priority))
-            .max()?;
-        let candidates: Vec<usize> = candidates
-            .into_iter()
-            .filter(|&p| {
-                self.routers[r]
-                    .head_flit(p)
-                    .map(|f| f.priority == top_priority)
-                    == Some(true)
-            })
-            .collect();
-        let in_port = self.routers[r].arbitrate(out, &candidates)?;
+        // wins arbitration; round-robin breaks ties (§III-B.4). One pass
+        // keeps only the ports at the highest priority seen so far.
+        let mut candidates = [0usize; 5];
+        let mut len = 0;
+        let mut top_priority = 0u8;
+        for p in 0..5 {
+            let Some(f) = self.routers[r].head_flit(p) else {
+                continue;
+            };
+            if !f.kind.is_head() || self.mesh.route_xy(node, f.dest) != out_dir {
+                continue;
+            }
+            if len == 0 || f.priority > top_priority {
+                top_priority = f.priority;
+                len = 0;
+            }
+            if f.priority == top_priority {
+                candidates[len] = p;
+                len += 1;
+            }
+        }
+        let in_port = self.routers[r].arbitrate(out, &candidates[..len])?;
         let flit = *self.routers[r]
             .head_flit(in_port)
             .expect("candidate exists");
@@ -407,7 +434,7 @@ impl NocSim {
     /// when flits are buffered in routers, at the (cycle-aligned) earliest
     /// source release when only queued traffic remains, or never when idle.
     pub fn next_activation(&self) -> Option<SimTime> {
-        if self.routers.iter().any(|r| r.total_buffered() > 0) {
+        if self.buffered > 0 {
             return Some(self.now);
         }
         self.sources
@@ -486,8 +513,7 @@ impl NocSim {
 
     /// True when no flit is queued or buffered anywhere.
     pub fn is_idle(&self) -> bool {
-        self.sources.iter().all(VecDeque::is_empty)
-            && self.routers.iter().all(|r| r.total_buffered() == 0)
+        self.buffered == 0 && self.sources.iter().all(VecDeque::is_empty)
     }
 
     /// Completed packets, in completion order.
@@ -522,7 +548,7 @@ impl NocSim {
     /// Flits sent on the directed link leaving `node` towards `dir`.
     pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
         self.link_flits
-            .get(&(node.0, dir.index()))
+            .get(node.0 as usize * 5 + dir.index())
             .copied()
             .unwrap_or(0)
     }
@@ -552,7 +578,7 @@ impl NocSim {
     pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
         metrics.counter_add("noc.packets_delivered", self.completed.len() as u64);
         metrics.counter_add("noc.cycles", self.cycle());
-        metrics.counter_add("noc.flits_sent", self.link_flits.values().sum());
+        metrics.counter_add("noc.flits_sent", self.link_flits.iter().sum());
         for rec in &self.completed {
             metrics.observe("noc.packet_latency_cycles", rec.latency_cycles() as f64);
         }
@@ -582,20 +608,23 @@ impl NocSim {
 
     /// The most-utilized directed link and its utilization, if any flit
     /// moved — the congestion hotspot report. Ties resolve to the highest
-    /// (node, direction) key: `link_flits` is ordered, so the answer is
+    /// (node, direction) key: the counters are walked in ascending key
+    /// order and `max_by_key` keeps the last maximum, so the answer is
     /// deterministic run to run.
     pub fn hottest_link(&self) -> Option<(NodeId, Direction, f64)> {
         self.link_flits
             .iter()
-            .max_by_key(|(_, &count)| count)
-            .map(|(&(node, dir_idx), &count)| {
-                let dir = Direction::ALL[dir_idx];
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .max_by_key(|&(_, &count)| count)
+            .map(|(idx, &count)| {
+                let dir = Direction::ALL[idx % 5];
                 let util = if self.cycle() == 0 {
                     0.0
                 } else {
                     count as f64 / self.cycle() as f64
                 };
-                (NodeId(node), dir, util)
+                (NodeId((idx / 5) as u32), dir, util)
             })
     }
 }
@@ -922,6 +951,33 @@ mod tests {
         assert_eq!(dir, Direction::East);
         assert!(util > 0.0 && util <= 1.0);
         assert!(node.0 <= 2);
+    }
+
+    #[test]
+    fn hottest_link_ties_resolve_to_highest_node_and_direction() {
+        // Two 2-flit packets on disjoint links of a 4x1 row: (0, East)
+        // and (3, West) both carry 2 flits; the higher node wins,
+        // whichever packet was injected first.
+        for order in [[0u32, 3], [3, 0]] {
+            let mut n = noc(4, 1);
+            for (id, src) in order.into_iter().enumerate() {
+                let dest = if src == 0 { 1 } else { 2 };
+                n.inject(Packet::new(id as u64, NodeId(src), NodeId(dest), 2), 0);
+            }
+            assert!(n.run_until_idle(1000));
+            let (node, dir, _) = n.hottest_link().expect("flits moved");
+            assert_eq!((node, dir), (NodeId(3), Direction::West));
+        }
+        // Within one node the higher direction index wins: West (4)
+        // over East (3).
+        let mut n = noc(3, 1);
+        n.inject(Packet::new(0, NodeId(1), NodeId(2), 3), 0);
+        n.inject(Packet::new(1, NodeId(1), NodeId(0), 3), 0);
+        assert!(n.run_until_idle(1000));
+        assert_eq!(n.link_flits(NodeId(1), Direction::East), 3);
+        assert_eq!(n.link_flits(NodeId(1), Direction::West), 3);
+        let (node, dir, _) = n.hottest_link().expect("flits moved");
+        assert_eq!((node, dir), (NodeId(1), Direction::West));
     }
 
     #[test]

@@ -1,7 +1,29 @@
 //! Property-based tests for the NoC simulator.
 
-use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet};
+use autoplat_noc::{Direction, Mesh, NocConfig, NocSim, NodeId, Packet};
 use proptest::prelude::*;
+
+/// Asserts that two networks driven over the same window are in the
+/// same observable state: completion records, per-link flit counters,
+/// hotspot report and in-flight count.
+fn assert_same_state(dense: &NocSim, event: &NocSim) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dense.now(), event.now());
+    prop_assert_eq!(dense.completed(), event.completed());
+    for node in 0..dense.mesh().nodes() {
+        for dir in Direction::ALL {
+            prop_assert_eq!(
+                dense.link_flits(NodeId(node), dir),
+                event.link_flits(NodeId(node), dir),
+                "link {} {:?}",
+                node,
+                dir
+            );
+        }
+    }
+    prop_assert_eq!(dense.hottest_link(), event.hottest_link());
+    prop_assert_eq!(dense.in_flight(), event.in_flight());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -32,6 +54,47 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len() as u64, injected);
         prop_assert_eq!(noc.in_flight(), 0);
+    }
+
+    #[test]
+    fn event_driven_matches_dense_reference_on_contended_traffic(
+        cols in 2u32..5,
+        rows in 2u32..5,
+        buffer in 1usize..5,
+        gap in 1u64..40,
+        split in 1u64..300,
+        specs in proptest::collection::vec(
+            (0u32..100, 0u32..100, 0u32..4, 1u32..9, 0u8..8, 0u64..5),
+            1..60,
+        ),
+    ) {
+        // Packets are released in bursts: every packet of burst `b`
+        // becomes ready in the same cycle `b * gap`, so heads collide at
+        // the same arbiters. About a quarter are self-sends.
+        let nodes = cols * rows;
+        let traffic = |noc: &mut NocSim| {
+            for (i, &(s, d, self_send, flits, priority, burst)) in specs.iter().enumerate() {
+                let src = NodeId(s % nodes);
+                let dst = if self_send == 0 { src } else { NodeId(d % nodes) };
+                noc.inject(
+                    Packet::new(i as u64, src, dst, flits).with_priority(priority),
+                    burst * gap,
+                );
+            }
+        };
+        let config = NocConfig::new(cols, rows).with_buffer_flits(buffer);
+        let mut dense = NocSim::new(config);
+        traffic(&mut dense);
+        let mut event = NocSim::new(config);
+        traffic(&mut event);
+        // Mid-run, with packets still in flight, then after draining.
+        dense.run_cycles_dense(split);
+        event.run_cycles(split);
+        assert_same_state(&dense, &event)?;
+        dense.run_cycles_dense(20_000);
+        event.run_cycles(20_000);
+        assert_same_state(&dense, &event)?;
+        prop_assert_eq!(event.in_flight(), 0, "20k cycles drain every burst");
     }
 
     #[test]
@@ -84,7 +147,6 @@ proptest! {
     fn flit_hop_conservation(
         specs in proptest::collection::vec((0u32..16, 0u32..16, 1u32..5, 0u64..100), 1..30),
     ) {
-        use autoplat_noc::Direction;
         // Total flits crossing inter-router links equals the sum over
         // packets of flits × XY hop count (XY is minimal and
         // deterministic).
