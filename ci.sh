@@ -15,14 +15,16 @@ cargo clippy --locked --all-targets -- -D warnings
 echo "== cargo test (all targets) =="
 cargo test -q --locked --all-targets
 
-echo "== metrics export smoke (bench binary + schema gate) =="
+echo "== metrics export smoke (repro validation + fig5 exports + schema gate) =="
 SMOKE_DIR="target/ci-smoke"
 mkdir -p "$SMOKE_DIR"
-cargo run -q -p autoplat-bench --bin validation -- --smoke \
+cargo run -q -p autoplat-bench --bin repro -- validation --smoke \
     --export-json "$SMOKE_DIR/metrics.json" \
     --export-csv "$SMOKE_DIR/metrics.csv" >/dev/null
+cargo run -q -p autoplat-bench --bin repro -- fig5 --smoke \
+    --export-json "$SMOKE_DIR/fig5.json" >/dev/null
 cargo run -q -p autoplat-bench --bin schema_check -- \
-    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics.csv"
+    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics.csv" "$SMOKE_DIR/fig5.json"
 
 echo "== co-simulation smoke (composed platform + schema gate) =="
 cargo run -q -p autoplat-bench --bin cosim -- --smoke \

@@ -20,14 +20,16 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use autoplat_bench::cli;
+use autoplat_bench::ExportOptions;
 use autoplat_campaign::{
     run, run_checkpointed, CampaignConfig, CampaignSpec, CampaignStatus, DirStore,
 };
-use autoplat_sim::metrics::{validate_csv_export, validate_json_export};
 use autoplat_sim::MetricsRegistry;
 
-struct Args {
-    smoke: bool,
+struct Options {
+    /// `--smoke`, `--export-json`, `--export-csv`.
+    export: ExportOptions,
     points: Option<u64>,
     workers: usize,
     seed: u64,
@@ -36,78 +38,30 @@ struct Args {
     resume: bool,
     kill_after_chunks: Option<u64>,
     deterministic: bool,
-    export_json: Option<PathBuf>,
-    export_csv: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        points: None,
-        workers: 4,
-        seed: 42,
-        chunk_points: 8,
-        checkpoint_dir: None,
-        resume: false,
-        kill_after_chunks: None,
-        deterministic: false,
-        export_json: None,
-        export_csv: None,
+fn parse_args(args: &mut cli::Args) -> Result<Options, String> {
+    let opts = Options {
+        export: ExportOptions::from_cli(args)?,
+        points: args.value("--points")?,
+        workers: args.value("--workers")?.unwrap_or(4),
+        seed: args.value("--seed")?.unwrap_or(42),
+        chunk_points: args.value("--chunk-points")?.unwrap_or(8),
+        checkpoint_dir: args.value("--checkpoint-dir")?,
+        resume: args.flag("--resume"),
+        kill_after_chunks: args.value("--kill-after-chunks")?,
+        deterministic: args.flag("--deterministic"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--resume" => args.resume = true,
-            "--deterministic" => args.deterministic = true,
-            "--points" => {
-                args.points = Some(
-                    value("--points")?
-                        .parse()
-                        .map_err(|e| format!("--points: {e}"))?,
-                )
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--chunk-points" => {
-                args.chunk_points = value("--chunk-points")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-points: {e}"))?
-            }
-            "--kill-after-chunks" => {
-                args.kill_after_chunks = Some(
-                    value("--kill-after-chunks")?
-                        .parse()
-                        .map_err(|e| format!("--kill-after-chunks: {e}"))?,
-                )
-            }
-            "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?))
-            }
-            "--export-json" => args.export_json = Some(PathBuf::from(value("--export-json")?)),
-            "--export-csv" => args.export_csv = Some(PathBuf::from(value("--export-csv")?)),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if args.workers == 0 {
+    if opts.workers == 0 {
         return Err("--workers must be >= 1".into());
     }
-    if args.points == Some(0) {
+    if opts.points == Some(0) {
         return Err("--points must be >= 1".into());
     }
-    if (args.resume || args.kill_after_chunks.is_some()) && args.checkpoint_dir.is_none() {
+    if (opts.resume || opts.kill_after_chunks.is_some()) && opts.checkpoint_dir.is_none() {
         return Err("--resume / --kill-after-chunks need --checkpoint-dir".into());
     }
-    Ok(args)
+    Ok(opts)
 }
 
 fn gauge(reg: &MetricsRegistry, name: &str) -> f64 {
@@ -115,20 +69,12 @@ fn gauge(reg: &MetricsRegistry, name: &str) -> f64 {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("campaign: {e}");
-        std::process::exit(2);
-    });
-    if cfg!(debug_assertions) && !args.deterministic {
-        eprintln!(
-            "campaign: refusing to record wall-clock throughput from a debug build; \
-             run with `cargo run --release -p autoplat-bench --bin campaign` \
-             (or pass --deterministic for a timing-free export)"
-        );
-        std::process::exit(2);
+    let args = cli::parse_or_exit("campaign", parse_args);
+    if !args.deterministic {
+        cli::refuse_debug_timing("campaign", true);
     }
 
-    let spec = if args.smoke {
+    let spec = if args.export.smoke {
         CampaignSpec::smoke(args.seed)
     } else {
         CampaignSpec::full(args.seed)
@@ -143,21 +89,18 @@ fn main() {
         cfg.total_chunks(),
         cfg.workers,
         args.seed,
-        if args.smoke { "smoke" } else { "full" }
+        if args.export.smoke { "smoke" } else { "full" }
     );
 
     let started = Instant::now();
     let report = match &args.checkpoint_dir {
         Some(dir) => {
-            let mut store = DirStore::open(dir).unwrap_or_else(|e| {
-                eprintln!("campaign: {e}");
-                std::process::exit(2);
-            });
-            let status = run_checkpointed(&cfg, &mut store, args.resume, args.kill_after_chunks)
-                .unwrap_or_else(|e| {
-                    eprintln!("campaign: {e}");
-                    std::process::exit(1);
-                });
+            let mut store = cli::or_exit("campaign", 2, DirStore::open(dir));
+            let status = cli::or_exit(
+                "campaign",
+                1,
+                run_checkpointed(&cfg, &mut store, args.resume, args.kill_after_chunks),
+            );
             match status {
                 CampaignStatus::Complete(report) => *report,
                 CampaignStatus::Paused {
@@ -211,30 +154,7 @@ fn main() {
         metrics.counter("campaign.conformance.violations"),
     );
 
-    if let Some(path) = &args.export_json {
-        let json = metrics.to_json();
-        validate_json_export(&json).unwrap_or_else(|e| {
-            eprintln!("campaign: refusing to write invalid JSON export: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("campaign: writing {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!("metrics JSON written to {}", path.display());
-    }
-    if let Some(path) = &args.export_csv {
-        let csv = metrics.to_csv();
-        validate_csv_export(&csv).unwrap_or_else(|e| {
-            eprintln!("campaign: refusing to write invalid CSV export: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(path, csv).unwrap_or_else(|e| {
-            eprintln!("campaign: writing {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!("metrics CSV written to {}", path.display());
-    }
+    cli::or_exit("campaign", 1, args.export.write(&metrics));
 
     if metrics.counter("campaign.conformance.violations") > 0 {
         eprintln!("campaign: conformance violations in the sweep");

@@ -16,89 +16,54 @@
 //! Exits 1 if any invariant is violated, printing the shrunk minimal
 //! scenario and a replay command line for each failure.
 
+use autoplat_bench::cli;
 use autoplat_bench::format::render_table;
+use autoplat_bench::ExportOptions;
 use autoplat_conformance::{run_case, run_sweep_parallel, Family, Oracle, SweepConfig};
 use autoplat_sim::MetricsRegistry;
 
-struct Args {
+struct Options {
     cases: u64,
     seed: u64,
     family: Option<Family>,
     case_seed: Option<u64>,
     shards: usize,
-    export_json: Option<String>,
-    export_csv: Option<String>,
+    /// `--smoke` only shrinks the default `--cases`.
+    export: ExportOptions,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        cases: 50,
-        seed: 7,
-        family: None,
-        case_seed: None,
-        shards: 1,
-        export_json: None,
-        export_csv: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut explicit_cases = false;
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--cases" => {
-                out.cases = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-                explicit_cases = true;
-            }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--family" => {
-                let name = value("--family")?;
-                out.family =
-                    Some(Family::parse(&name).ok_or_else(|| format!("unknown family '{name}'"))?);
-            }
-            "--case-seed" => {
-                let raw = value("--case-seed")?;
+fn parse_args(args: &mut cli::Args) -> Result<Options, String> {
+    let export = ExportOptions::from_cli(args)?;
+    let opts = Options {
+        cases: args
+            .value("--cases")?
+            .unwrap_or(if export.smoke { 5 } else { 50 }),
+        seed: args.value("--seed")?.unwrap_or(7),
+        family: args
+            .value::<String>("--family")?
+            .map(|name| Family::parse(&name).ok_or_else(|| format!("unknown family '{name}'")))
+            .transpose()?,
+        case_seed: args
+            .value::<String>("--case-seed")?
+            .map(|raw| {
                 let digits = raw.strip_prefix("0x").unwrap_or(&raw);
-                out.case_seed =
-                    Some(u64::from_str_radix(digits, 16).map_err(|e| format!("--case-seed: {e}"))?);
-            }
-            "--shards" => {
-                out.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if out.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--export-json" => out.export_json = Some(value("--export-json")?),
-            "--export-csv" => out.export_csv = Some(value("--export-csv")?),
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+                u64::from_str_radix(digits, 16).map_err(|e| format!("--case-seed: {e}"))
+            })
+            .transpose()?,
+        shards: args.value("--shards")?.unwrap_or(1),
+        export,
+    };
+    if opts.shards == 0 {
+        return Err("--shards must be at least 1".into());
     }
-    if smoke && !explicit_cases {
-        out.cases = 5;
-    }
-    if out.case_seed.is_some() && out.family.is_none() {
+    if opts.case_seed.is_some() && opts.family.is_none() {
         return Err("--case-seed requires --family".into());
     }
-    Ok(out)
+    Ok(opts)
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("conformance: {e}");
-        std::process::exit(2);
-    });
+    let args = cli::parse_or_exit("conformance", parse_args);
     let oracle = Oracle::default();
 
     // Single-case replay path: the reproducer printed on failure.
@@ -158,18 +123,7 @@ fn main() {
 
     let mut metrics = MetricsRegistry::new();
     report.publish_metrics(&mut metrics);
-    if let Some(path) = &args.export_json {
-        if let Err(e) = std::fs::write(path, metrics.to_json()) {
-            eprintln!("conformance: writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &args.export_csv {
-        if let Err(e) = std::fs::write(path, metrics.to_csv()) {
-            eprintln!("conformance: writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    cli::or_exit("conformance", 1, args.export.write(&metrics));
 
     if !report.all_passed() {
         for failure in &report.failures {

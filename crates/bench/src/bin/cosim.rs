@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use autoplat_bench::cli;
 use autoplat_bench::format::render_table;
 use autoplat_bench::perf::sparse_noc;
 use autoplat_bench::ExportOptions;
@@ -20,31 +21,15 @@ use autoplat_core::platform::{CoSim, CoSimConfig, ControlCommand, QosReport};
 use autoplat_sim::{FaultPlan, SimTime};
 
 fn main() {
-    let mut closed_loop = false;
-    let mut sensor_faults = false;
-    // The export parser rejects unknown flags, so peel ours off first.
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| match arg.as_str() {
-            "--closed-loop" => {
-                closed_loop = true;
-                false
-            }
-            "--sensor-faults" => {
-                sensor_faults = true;
-                false
-            }
-            _ => true,
-        })
-        .collect();
-    let opts = ExportOptions::parse(rest).unwrap_or_else(|e| {
-        eprintln!("cosim: {e}");
-        std::process::exit(2);
+    let (opts, closed_loop, sensor_faults) = cli::parse_or_exit("cosim", |args| {
+        let opts = ExportOptions::from_cli(args)?;
+        let closed_loop = args.flag("--closed-loop");
+        let sensor_faults = args.flag("--sensor-faults");
+        if sensor_faults && !closed_loop {
+            return Err("--sensor-faults requires --closed-loop".into());
+        }
+        Ok((opts, closed_loop, sensor_faults))
     });
-    if sensor_faults && !closed_loop {
-        eprintln!("cosim: --sensor-faults requires --closed-loop");
-        std::process::exit(2);
-    }
 
     let mut cfg = if closed_loop {
         CoSimConfig::small_qos()
@@ -155,10 +140,7 @@ fn main() {
 
     kernel_benchmark(opts.smoke);
 
-    if let Err(e) = opts.write(&report.metrics) {
-        eprintln!("cosim: {e}");
-        std::process::exit(1);
-    }
+    cli::or_exit("cosim", 1, opts.write(&report.metrics));
 }
 
 /// Prints the closed-loop QoS outcome: per-partition caps vs observed

@@ -27,71 +27,41 @@
 //!     --export-json BENCH_fleet.json
 //! ```
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use autoplat_admission::{FleetConfig, FleetSim, FleetTopology, RetryPolicy, WatchdogConfig};
+use autoplat_bench::cli;
+use autoplat_bench::export::write_json;
 use autoplat_bench::format::render_table;
-use autoplat_sim::metrics::{validate_json_export, MetricsRegistry};
+use autoplat_sim::metrics::MetricsRegistry;
 use autoplat_sim::FaultPlan;
 
-struct Args {
+struct Options {
     smoke: bool,
     clients: Option<u32>,
     clusters: Option<u32>,
     seed: u64,
-    export_json: Option<String>,
+    export_json: Option<PathBuf>,
     deterministic: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        smoke: false,
-        clients: None,
-        clusters: None,
-        seed: 1,
-        export_json: None,
-        deterministic: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => out.smoke = true,
-            "--deterministic" => out.deterministic = true,
-            "--clients" => {
-                out.clients = Some(
-                    value("--clients")?
-                        .parse()
-                        .map_err(|e| format!("--clients: {e}"))?,
-                );
-            }
-            "--clusters" => {
-                out.clusters = Some(
-                    value("--clusters")?
-                        .parse()
-                        .map_err(|e| format!("--clusters: {e}"))?,
-                );
-            }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--export-json" => out.export_json = Some(value("--export-json")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(out)
+fn parse_args(args: &mut cli::Args) -> Result<Options, String> {
+    Ok(Options {
+        smoke: args.flag("--smoke"),
+        clients: args.value("--clients")?,
+        clusters: args.value("--clusters")?,
+        seed: args.value("--seed")?.unwrap_or(1),
+        export_json: args.value("--export-json")?,
+        deterministic: args.flag("--deterministic"),
+    })
 }
 
 /// The bench operating point: every client critical with equal demand
 /// (so budget conservation is exactly checkable), waves sized to stress
 /// the batch paths, and — beyond smoke scale — probabilistic faults
 /// plus a 1% crash storm whose reclamation the run must absorb.
-fn fleet_config(args: &Args) -> FleetConfig {
+fn fleet_config(args: &Options) -> FleetConfig {
     let clients = args
         .clients
         .unwrap_or(if args.smoke { 10_000 } else { 1_000_000 });
@@ -143,17 +113,9 @@ fn fleet_config(args: &Args) -> FleetConfig {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("fleet: {e}");
-        std::process::exit(2);
-    });
-    if cfg!(debug_assertions) && !args.deterministic {
-        eprintln!(
-            "fleet: refusing to record wall-clock throughput from a debug build; \
-             run with `cargo run --release -p autoplat-bench --bin fleet` \
-             (or pass --deterministic for a timing-free export)"
-        );
-        std::process::exit(2);
+    let args = cli::parse_or_exit("fleet", parse_args);
+    if !args.deterministic {
+        cli::refuse_debug_timing("fleet", true);
     }
 
     let cfg = fleet_config(&args);
@@ -289,15 +251,7 @@ fn main() {
     }
 
     if let Some(path) = &args.export_json {
-        let json = registry.to_json();
-        if let Err(e) = validate_json_export(&json) {
-            eprintln!("fleet: refusing to write invalid export {path}: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("fleet: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("fleet metrics written to {path}");
+        cli::or_exit("fleet", 1, write_json(path, &registry));
+        println!("fleet metrics written to {}", path.display());
     }
 }

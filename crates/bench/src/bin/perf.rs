@@ -17,49 +17,26 @@
 //! throughput at or above the retained `BinaryHeap` baseline — the
 //! regression this artifact exists to catch.
 
+use std::path::PathBuf;
+
+use autoplat_bench::cli;
+use autoplat_bench::export::write_json;
 use autoplat_bench::format::render_table;
 use autoplat_bench::perf::{cosim_baselines, kernel_baselines, PerfScale};
-use autoplat_sim::metrics::{validate_json_export, MetricsRegistry};
+use autoplat_sim::metrics::MetricsRegistry;
 
-struct Args {
+struct Options {
     quick: bool,
-    export_kernel: Option<String>,
-    export_cosim: Option<String>,
+    export_kernel: Option<PathBuf>,
+    export_cosim: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        quick: false,
-        export_kernel: None,
-        export_cosim: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--quick" => out.quick = true,
-            "--export-kernel" => out.export_kernel = Some(value("--export-kernel")?),
-            "--export-cosim" => out.export_cosim = Some(value("--export-cosim")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(out)
-}
-
-fn write_export(path: &str, registry: &MetricsRegistry) {
-    let json = registry.to_json();
-    if let Err(e) = validate_json_export(&json) {
-        eprintln!("perf: refusing to write invalid export {path}: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("perf: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("perf baselines written to {path}");
+fn parse_args(args: &mut cli::Args) -> Result<Options, String> {
+    Ok(Options {
+        quick: args.flag("--quick"),
+        export_kernel: args.value("--export-kernel")?,
+        export_cosim: args.value("--export-cosim")?,
+    })
 }
 
 fn print_gauges(registry: &MetricsRegistry, names: &[&str]) {
@@ -76,17 +53,8 @@ fn print_gauges(registry: &MetricsRegistry, names: &[&str]) {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("perf: {e}");
-        std::process::exit(2);
-    });
-    if cfg!(debug_assertions) {
-        eprintln!(
-            "perf: refusing to record baselines from a debug build; \
-             run with `cargo run --release -p autoplat-bench --bin perf`"
-        );
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit("perf", parse_args);
+    cli::refuse_debug_timing("perf", false);
     let scale = if args.quick {
         PerfScale::quick()
     } else {
@@ -132,11 +100,11 @@ fn main() {
             .unwrap_or(0.0)
     );
 
-    if let Some(path) = &args.export_kernel {
-        write_export(path, &kernel);
-    }
-    if let Some(path) = &args.export_cosim {
-        write_export(path, &cosim);
+    for (path, registry) in [(&args.export_kernel, &kernel), (&args.export_cosim, &cosim)] {
+        if let Some(path) = path {
+            cli::or_exit("perf", 1, write_json(path, registry));
+            println!("perf baselines written to {}", path.display());
+        }
     }
 
     if speedup < 1.0 {

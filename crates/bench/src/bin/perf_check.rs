@@ -17,43 +17,25 @@
 //!
 //! Exits 1 listing every regressed gauge, 2 on usage/parse errors.
 
+use autoplat_bench::cli;
 use autoplat_sim::MetricsRegistry;
 
-struct Args {
+struct Options {
     baseline: String,
     fresh: String,
     min_ratio: f64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut baseline = None;
-    let mut fresh = None;
-    let mut min_ratio = 0.25f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--fresh" => fresh = Some(value("--fresh")?),
-            "--min-ratio" => {
-                min_ratio = value("--min-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--min-ratio: {e}"))?;
-                if min_ratio <= 0.0 || !min_ratio.is_finite() {
-                    return Err("--min-ratio must be a positive finite number".into());
-                }
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+fn parse_args(args: &mut cli::Args) -> Result<Options, String> {
+    let opts = Options {
+        baseline: args.value("--baseline")?.ok_or("--baseline is required")?,
+        fresh: args.value("--fresh")?.ok_or("--fresh is required")?,
+        min_ratio: args.value("--min-ratio")?.unwrap_or(0.25),
+    };
+    if opts.min_ratio <= 0.0 || !opts.min_ratio.is_finite() {
+        return Err("--min-ratio must be a positive finite number".into());
     }
-    Ok(Args {
-        baseline: baseline.ok_or("--baseline is required")?,
-        fresh: fresh.ok_or("--fresh is required")?,
-        min_ratio,
-    })
+    Ok(opts)
 }
 
 fn load(path: &str) -> Result<MetricsRegistry, String> {
@@ -72,18 +54,9 @@ fn throughput_gauges(registry: &MetricsRegistry) -> Vec<String> {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("perf_check: {e}");
-        std::process::exit(2);
-    });
-    let baseline = load(&args.baseline).unwrap_or_else(|e| {
-        eprintln!("perf_check: {e}");
-        std::process::exit(2);
-    });
-    let fresh = load(&args.fresh).unwrap_or_else(|e| {
-        eprintln!("perf_check: {e}");
-        std::process::exit(2);
-    });
+    let args = cli::parse_or_exit("perf_check", parse_args);
+    let baseline = cli::or_exit("perf_check", 2, load(&args.baseline));
+    let fresh = cli::or_exit("perf_check", 2, load(&args.fresh));
 
     let base_names = throughput_gauges(&baseline);
     let fresh_names = throughput_gauges(&fresh);

@@ -11,7 +11,7 @@ use autoplat_core::workload::Workload;
 use autoplat_dram::request::MasterId;
 use autoplat_dram::service_curve::rate_latency_abstraction;
 use autoplat_dram::timing::presets::ddr3_1600;
-use autoplat_dram::wcd::{bounds, WcdParams};
+use autoplat_dram::wcd::{bounds, WcdError, WcdParams};
 use autoplat_dram::{
     adversarial_wcd_workload, validation_controller, ControllerConfig, FrFcfsController, Request,
     RequestKind,
@@ -222,15 +222,9 @@ pub struct Fig5Event {
 }
 
 /// Fig. 5: drives the FR-FCFS controller through watermark-triggered
-/// read/write switches and returns the observed transitions.
-pub fn fig5() -> Vec<Fig5Event> {
-    fig5_with_metrics(&mut MetricsRegistry::new())
-}
-
-/// [`fig5`] with the controller's `dram.*` observability published into
-/// `metrics` (the export path the `fig5` binary's `--export-json` /
-/// `--export-csv` flags use).
-pub fn fig5_with_metrics(metrics: &mut MetricsRegistry) -> Vec<Fig5Event> {
+/// read/write switches and returns the observed transitions, publishing
+/// the controller's `dram.*` observability into `metrics`.
+pub fn fig5(metrics: &mut MetricsRegistry) -> Vec<Fig5Event> {
     let cfg = ControllerConfig::paper().with_watermarks(8, 24);
     let ctrl = FrFcfsController::new(ddr3_1600(), cfg, 8);
     let mut reqs = Vec::new();
@@ -522,52 +516,22 @@ pub struct ValidationRow {
 /// Validation: the FR-FCFS simulator driven by an adversarial workload
 /// (N misses ahead of the probe, hot-row hits, saturating writes) must
 /// complete the probe within the analytic bounds of §IV-A, for every
-/// queue position.
-///
-/// # Panics
-///
-/// Panics with the full [`autoplat_dram::wcd::WcdError`] diagnostics
-/// (iterations, write batches, refreshes) when the analysis saturates or
-/// fails to converge — see [`try_validation_wcd_with_metrics`] for the
-/// non-panicking form.
-pub fn validation_wcd(max_position: u32, gbps: f64) -> Vec<ValidationRow> {
-    validation_wcd_with_metrics(max_position, gbps, &mut MetricsRegistry::new())
-}
-
-/// [`validation_wcd`] with the controller's `dram.*` observability
+/// queue position. Publishes the controller's `dram.*` observability
 /// (accumulated across all queue positions) plus sweep-level
-/// `wcd.validation.*` metrics published into `metrics`.
-///
-/// # Panics
-///
-/// Panics when the WCD analysis has no finite bound, carrying the
-/// error's diagnostics in the panic message.
-pub fn validation_wcd_with_metrics(
-    max_position: u32,
-    gbps: f64,
-    metrics: &mut MetricsRegistry,
-) -> Vec<ValidationRow> {
-    match try_validation_wcd_with_metrics(max_position, gbps, metrics) {
-        Ok(rows) => rows,
-        Err(e) => panic!("WCD validation sweep at {gbps} Gbps has no bound: {e}"),
-    }
-}
-
-/// Fallible WCD validation sweep: propagates the analysis error —
-/// [`autoplat_dram::wcd::WcdError::Saturated`] or
-/// [`autoplat_dram::wcd::WcdError::NotConverged`] with its carried
-/// `iterations`/`write_batches`/`refreshes` diagnostics — instead of
-/// swallowing non-convergence or panicking mid-sweep.
+/// `wcd.validation.*` metrics into `metrics`.
 ///
 /// # Errors
 ///
-/// Returns the first [`autoplat_dram::wcd::WcdError`] hit while sweeping
-/// queue positions `1..=max_position`.
-pub fn try_validation_wcd_with_metrics(
+/// Returns the first [`WcdError`] hit while sweeping queue positions
+/// `1..=max_position` — [`WcdError::Saturated`] or
+/// [`WcdError::NotConverged`] with its `iterations`/`write_batches`/
+/// `refreshes` diagnostics — instead of swallowing non-convergence or
+/// panicking mid-sweep.
+pub fn validation_wcd(
     max_position: u32,
     gbps: f64,
     metrics: &mut MetricsRegistry,
-) -> Result<Vec<ValidationRow>, autoplat_dram::wcd::WcdError> {
+) -> Result<Vec<ValidationRow>, WcdError> {
     let cfg = ControllerConfig::paper();
     let timing = ddr3_1600();
     let writes = gbps_bucket(gbps, 8, 8);
@@ -878,7 +842,7 @@ mod tests {
 
     #[test]
     fn fig5_observes_both_switch_directions() {
-        let events = fig5();
+        let events = fig5(&mut MetricsRegistry::new());
         assert!(events.iter().any(|e| e.direction == "switch-to-write"));
         assert!(events.iter().any(|e| e.direction == "switch-to-read"));
         // Write switches happen at/above the watermark.
@@ -952,7 +916,7 @@ mod tests {
 
     #[test]
     fn simulated_probe_always_within_analytic_bounds() {
-        for row in validation_wcd(16, 4.0) {
+        for row in validation_wcd(16, 4.0, &mut MetricsRegistry::new()).expect("finite bound") {
             assert!(
                 row.simulated_ns <= row.upper_ns + 1e-6,
                 "N={}: simulated {} above upper bound {}",
@@ -963,7 +927,7 @@ mod tests {
             assert!(row.lower_ns <= row.upper_ns);
         }
         // The adversarial schedule tightens against the bound as N grows.
-        let rows = validation_wcd(24, 4.0);
+        let rows = validation_wcd(24, 4.0, &mut MetricsRegistry::new()).expect("finite bound");
         let first = &rows[0];
         let last = rows.last().expect("non-empty");
         assert!(
@@ -992,8 +956,8 @@ mod tests {
         let r_crit = (1.0 - t.t_rfc / t.t_refi) * cfg.n_wd as f64 / t.write_batch_cost(cfg.n_wd);
         let gbps = r_crit * (1.0 - 1e-10) * 8.0 * 8.0; // requests/ns -> Gbps
         let mut metrics = MetricsRegistry::new();
-        match try_validation_wcd_with_metrics(4, gbps, &mut metrics) {
-            Err(autoplat_dram::wcd::WcdError::NotConverged {
+        match validation_wcd(4, gbps, &mut metrics) {
+            Err(WcdError::NotConverged {
                 iterations,
                 write_batches,
                 ..

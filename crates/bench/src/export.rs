@@ -1,20 +1,23 @@
-//! Shared metrics-export plumbing for the experiment binaries.
+//! Shared metrics-export plumbing for the bench binaries.
 //!
-//! Every binary that publishes into a [`MetricsRegistry`] accepts the
-//! same three flags, parsed by [`ExportOptions::from_args`]:
+//! The paper experiments (`repro`), `campaign`, `conformance` and `cosim`
+//! accept the same three flags, read by [`ExportOptions::from_cli`]:
 //!
 //! * `--smoke` — shrink the workload to a seconds-scale run (the CI
 //!   gate uses this);
 //! * `--export-json <path>` — write the registry as schema-tagged JSON;
 //! * `--export-csv <path>` — write the registry as CSV.
 //!
-//! Exports are validated against the `autoplat.metrics.v1` schema
-//! before they touch the disk, so a drifting exporter fails the run
+//! Every metrics file any binary writes goes through [`write_json`] or
+//! [`write_csv`], which validate against the `autoplat.metrics.v1`
+//! schema before touching the disk, so a drifting exporter fails the run
 //! that produced the file rather than some later consumer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use autoplat_sim::metrics::{validate_csv_export, validate_json_export, MetricsRegistry};
+
+use crate::cli::Args;
 
 /// Parsed export-related command-line options.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -28,50 +31,17 @@ pub struct ExportOptions {
 }
 
 impl ExportOptions {
-    /// Parses `--smoke`, `--export-json <path>` and `--export-csv
-    /// <path>` from the process arguments.
+    /// Reads `--smoke`, `--export-json <path>` and `--export-csv <path>`.
     ///
     /// # Errors
     ///
-    /// Returns a usage message on an unknown flag or a missing path
-    /// operand.
-    pub fn from_args() -> Result<ExportOptions, String> {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit argument iterator (testable core of
-    /// [`from_args`](Self::from_args)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on an unknown flag or a missing path
-    /// operand.
-    pub fn parse<I>(args: I) -> Result<ExportOptions, String>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let mut opts = ExportOptions::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--smoke" => opts.smoke = true,
-                "--export-json" => {
-                    let path = args.next().ok_or("--export-json needs a path")?;
-                    opts.json = Some(PathBuf::from(path));
-                }
-                "--export-csv" => {
-                    let path = args.next().ok_or("--export-csv needs a path")?;
-                    opts.csv = Some(PathBuf::from(path));
-                }
-                other => {
-                    return Err(format!(
-                        "unknown argument {other:?} \
-                         (expected --smoke, --export-json <path>, --export-csv <path>)"
-                    ))
-                }
-            }
-        }
-        Ok(opts)
+    /// Returns a usage message when a path operand is missing.
+    pub fn from_cli(args: &mut Args) -> Result<ExportOptions, String> {
+        Ok(ExportOptions {
+            smoke: args.flag("--smoke"),
+            json: args.value("--export-json")?,
+            csv: args.value("--export-csv")?,
+        })
     }
 
     /// Writes the requested exports, validating each against the shared
@@ -82,40 +52,64 @@ impl ExportOptions {
     /// Returns a description of a schema violation or I/O failure.
     pub fn write(&self, registry: &MetricsRegistry) -> Result<(), String> {
         if let Some(path) = &self.json {
-            let json = registry.to_json();
-            validate_json_export(&json)
-                .map_err(|e| format!("refusing to write invalid JSON export: {e}"))?;
-            std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            write_json(path, registry)?;
             eprintln!("metrics JSON written to {}", path.display());
         }
         if let Some(path) = &self.csv {
-            let csv = registry.to_csv();
-            validate_csv_export(&csv)
-                .map_err(|e| format!("refusing to write invalid CSV export: {e}"))?;
-            std::fs::write(path, csv).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            write_csv(path, registry)?;
             eprintln!("metrics CSV written to {}", path.display());
         }
         Ok(())
     }
 }
 
+/// Writes `registry` to `path` as schema-tagged JSON, validated first.
+///
+/// # Errors
+///
+/// Returns a description of a schema violation or I/O failure.
+pub fn write_json(path: &Path, registry: &MetricsRegistry) -> Result<(), String> {
+    write_validated(path, registry.to_json(), validate_json_export, "JSON")
+}
+
+/// Writes `registry` to `path` as CSV, validated first.
+///
+/// # Errors
+///
+/// Returns a description of a schema violation or I/O failure.
+pub fn write_csv(path: &Path, registry: &MetricsRegistry) -> Result<(), String> {
+    write_validated(path, registry.to_csv(), validate_csv_export, "CSV")
+}
+
+fn write_validated(
+    path: &Path,
+    contents: String,
+    validate: fn(&str) -> Result<(), String>,
+    format: &str,
+) -> Result<(), String> {
+    validate(&contents).map_err(|e| format!("refusing to write invalid {format} export: {e}"))?;
+    std::fs::write(path, contents).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s(items: &[&str]) -> Vec<String> {
-        items.iter().map(|i| i.to_string()).collect()
+    fn parse(items: &[&str]) -> Result<ExportOptions, String> {
+        let mut args = Args::new(items.iter().map(|i| i.to_string()));
+        let opts = ExportOptions::from_cli(&mut args)?;
+        args.finish().map(|()| opts)
     }
 
     #[test]
     fn parses_all_flags() {
-        let opts = ExportOptions::parse(s(&[
+        let opts = parse(&[
             "--smoke",
             "--export-json",
             "m.json",
             "--export-csv",
             "m.csv",
-        ]))
+        ])
         .expect("valid args");
         assert!(opts.smoke);
         assert_eq!(opts.json, Some(PathBuf::from("m.json")));
@@ -124,17 +118,14 @@ mod tests {
 
     #[test]
     fn empty_args_are_default() {
-        assert_eq!(
-            ExportOptions::parse(s(&[])).expect("empty ok"),
-            ExportOptions::default()
-        );
+        assert_eq!(parse(&[]).expect("empty ok"), ExportOptions::default());
     }
 
     #[test]
     fn rejects_unknown_and_dangling_flags() {
-        assert!(ExportOptions::parse(s(&["--bogus"])).is_err());
-        assert!(ExportOptions::parse(s(&["--export-json"])).is_err());
-        assert!(ExportOptions::parse(s(&["--export-csv"])).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--export-json"]).is_err());
+        assert!(parse(&["--export-csv"]).is_err());
     }
 
     #[test]

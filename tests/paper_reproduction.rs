@@ -5,6 +5,7 @@ use autoplat_bench::{
     ablation_cache, ablation_memguard, ablation_sched, fig2, fig3, fig5, fig6, fig7, interference,
     table1, table2,
 };
+use autoplat_sim::MetricsRegistry;
 
 #[test]
 fn table1_is_the_paper_verbatim() {
@@ -105,7 +106,7 @@ fn fig3_portions_have_two_private_and_one_shared() {
 
 #[test]
 fn fig5_watermark_transitions_alternate() {
-    let events = fig5();
+    let events = fig5(&mut MetricsRegistry::new());
     assert!(events.len() >= 2, "need observable switches");
     for w in events.windows(2) {
         assert_ne!(w[0].direction, w[1].direction, "switches must alternate");
