@@ -197,20 +197,40 @@ fn swept_families(config: &SweepConfig) -> Vec<Family> {
     }
 }
 
-/// Records a passing case's observations (if it emitted any).
-fn push_observations(
-    out: &mut Vec<CaseObservations>,
+/// Runs `family`'s cases at `case_indices`, appending failures and the
+/// observations of passing cases in index order, and returns the tally.
+fn sweep_family(
+    oracle: &Oracle,
+    master_seed: u64,
     family: Family,
-    case_index: u64,
-    values: Observations,
-) {
-    if !values.is_empty() {
-        out.push(CaseObservations {
-            family,
-            case_index,
-            values,
-        });
+    case_indices: impl Iterator<Item = u64>,
+    failures: &mut Vec<Failure>,
+    observations: &mut Vec<CaseObservations>,
+) -> FamilyStats {
+    let mut tally = FamilyStats::default();
+    for case_index in case_indices {
+        tally.cases += 1;
+        match run_indexed_case(oracle, master_seed, family, case_index) {
+            Ok((result, values)) => {
+                match result {
+                    CaseResult::Pass => tally.passed += 1,
+                    CaseResult::Vacuous => tally.vacuous += 1,
+                }
+                if !values.is_empty() {
+                    observations.push(CaseObservations {
+                        family,
+                        case_index,
+                        values,
+                    });
+                }
+            }
+            Err(failure) => {
+                tally.violations += 1;
+                failures.push(*failure);
+            }
+        }
     }
+    tally
 }
 
 /// Runs the configured sweep serially.
@@ -219,24 +239,14 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     let mut failures = Vec::new();
     let mut observations = Vec::new();
     for family in swept_families(config) {
-        let mut tally = FamilyStats::default();
-        for case_index in 0..config.cases {
-            tally.cases += 1;
-            match run_indexed_case(&config.oracle, config.seed, family, case_index) {
-                Ok((CaseResult::Pass, values)) => {
-                    tally.passed += 1;
-                    push_observations(&mut observations, family, case_index, values);
-                }
-                Ok((CaseResult::Vacuous, values)) => {
-                    tally.vacuous += 1;
-                    push_observations(&mut observations, family, case_index, values);
-                }
-                Err(failure) => {
-                    tally.violations += 1;
-                    failures.push(*failure);
-                }
-            }
-        }
+        let tally = sweep_family(
+            &config.oracle,
+            config.seed,
+            family,
+            0..config.cases,
+            &mut failures,
+            &mut observations,
+        );
         stats.push((family, tally));
     }
     SweepReport {
@@ -282,34 +292,14 @@ pub fn run_sweep_parallel(config: &SweepConfig, shards: usize) -> SweepReport {
                     let mut failures = Vec::new();
                     let mut observations = Vec::new();
                     for &family in families {
-                        let mut tally = FamilyStats::default();
-                        for case_index in (shard as u64..cases).step_by(shards) {
-                            tally.cases += 1;
-                            match run_indexed_case(oracle, seed, family, case_index) {
-                                Ok((CaseResult::Pass, values)) => {
-                                    tally.passed += 1;
-                                    push_observations(
-                                        &mut observations,
-                                        family,
-                                        case_index,
-                                        values,
-                                    );
-                                }
-                                Ok((CaseResult::Vacuous, values)) => {
-                                    tally.vacuous += 1;
-                                    push_observations(
-                                        &mut observations,
-                                        family,
-                                        case_index,
-                                        values,
-                                    );
-                                }
-                                Err(failure) => {
-                                    tally.violations += 1;
-                                    failures.push(*failure);
-                                }
-                            }
-                        }
+                        let tally = sweep_family(
+                            oracle,
+                            seed,
+                            family,
+                            (shard as u64..cases).step_by(shards),
+                            &mut failures,
+                            &mut observations,
+                        );
                         stats.push((family, tally));
                     }
                     (stats, failures, observations)

@@ -60,10 +60,9 @@ use autoplat_dram::{
 use autoplat_netcalc::bounds::{token_bucket_backlog, token_bucket_delay};
 use autoplat_netcalc::{backlog_bound, delay_bound, RateLatency, TokenBucket};
 use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet, PacketRecord};
-use autoplat_regulation::process::boundary_after;
 use autoplat_regulation::{
     AccessDecision, ClosedLoopConfig, DegradationReason, MemGuard, MemGuardProcess,
-    PartitionTarget, PerBankMemGuard, PerBankProcess, RegulationEvent, SensorWatchdogConfig,
+    PartitionTarget, RegulationEvent, SensorWatchdogConfig,
 };
 use autoplat_sched::rta::response_times;
 use autoplat_sched::simulate::simulate_global_fp;
@@ -72,7 +71,7 @@ use autoplat_sim::{Engine, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimT
 
 use crate::scenario::{
     ClosedLoopScenario, DeterminismScenario, DiffScenario, DpqScenario, DramScenario,
-    FleetScenario, MemGuardScenario, NocScenario, PerBankScenario, Scenario, SchedScenario,
+    FleetScenario, NocScenario, RegulatorScenario, Scenario, SchedScenario,
 };
 
 /// Absolute slack (ns / cycles / bytes) tolerated on float comparisons.
@@ -176,7 +175,8 @@ impl Oracle {
         match scenario {
             Scenario::Dram(s) => self.check_dram(s),
             Scenario::Noc(s) => check_noc(s).map(|r| (r, Vec::new())),
-            Scenario::MemGuard(s) => check_memguard(s).map(|r| (r, Vec::new())),
+            Scenario::MemGuard(s) => check_regulator_replay(s, "memguard", "core")
+                .map(|()| (CaseResult::Pass, Vec::new())),
             Scenario::Sched(s) => check_sched(s).map(|r| (r, Vec::new())),
             Scenario::Determinism(s) => check_determinism(s).map(|r| (r, Vec::new())),
             Scenario::ClosedLoop(s) => check_closed_loop(s).map(|r| (r, Vec::new())),
@@ -344,136 +344,12 @@ impl Oracle {
         Ok((CaseResult::Pass, obs))
     }
 
-    fn check_perbank(&self, s: &PerBankScenario) -> Result<(CaseResult, Observations), Violation> {
+    fn check_perbank(
+        &self,
+        s: &RegulatorScenario,
+    ) -> Result<(CaseResult, Observations), Violation> {
+        check_regulator_replay(s, "perbank", "bank")?;
         let period = SimDuration::from_ns(s.period_ns as f64);
-        let banks = s.budgets.len();
-        let mut lazy = PerBankMemGuard::new(period, s.budgets.clone());
-        let mut eager = PerBankMemGuard::new(period, s.budgets.clone());
-        let mut now_ns = 0u64;
-        let mut eager_boundary = period.as_ps();
-        for access in &s.accesses {
-            now_ns += access.gap_ns;
-            let now = SimTime::from_ns(now_ns as f64);
-            let bank = access.bank as usize % banks;
-            let budget = s.budgets[bank];
-            lazy.replenish(now);
-            let before = lazy.used(bank);
-            let decision = lazy.try_access(bank, access.bytes, now);
-            match decision {
-                AccessDecision::Granted => {
-                    if budget == 0 {
-                        return violation(
-                            "perbank.zero_budget_never_grants",
-                            format!("bank {bank} granted {} bytes at {now_ns} ns", access.bytes),
-                        );
-                    }
-                    if before >= budget {
-                        return violation(
-                            "perbank.no_grant_past_budget",
-                            format!(
-                                "bank {bank} at {now_ns} ns: {before} bytes already used >= \
-                                 budget {budget}, yet granted"
-                            ),
-                        );
-                    }
-                    if lazy.used(bank) >= budget + access.bytes {
-                        return violation(
-                            "perbank.single_overdraw",
-                            format!(
-                                "bank {bank}: used {} >= budget {budget} + access {}",
-                                lazy.used(bank),
-                                access.bytes
-                            ),
-                        );
-                    }
-                }
-                AccessDecision::ThrottledUntil(until) => {
-                    let expected = boundary_after(period, now);
-                    if until != expected {
-                        return violation(
-                            "perbank.throttle_points_to_boundary",
-                            format!(
-                                "bank {bank} at {now_ns} ns throttled until {} ps, \
-                                 boundary is {} ps",
-                                until.as_ps(),
-                                expected.as_ps()
-                            ),
-                        );
-                    }
-                    if until <= now {
-                        return violation(
-                            "perbank.throttle_in_future",
-                            format!(
-                                "throttle target {} ps <= now {} ps",
-                                until.as_ps(),
-                                now.as_ps()
-                            ),
-                        );
-                    }
-                }
-            }
-            // Differential: explicit boundary replenishment must take the
-            // same decision as the lazy roll.
-            while eager_boundary <= now.as_ps() {
-                eager.replenish(SimTime::from_ps(eager_boundary));
-                eager_boundary += period.as_ps();
-            }
-            let eager_decision = eager.try_access(bank, access.bytes, now);
-            if eager_decision != decision {
-                return violation(
-                    "perbank.lazy_matches_eager",
-                    format!(
-                        "bank {bank} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
-                    ),
-                );
-            }
-        }
-
-        // Event-driven path: the replenishment timer fires exactly once
-        // per boundary and leaves budgets fresh.
-        let mut pb = PerBankMemGuard::new(period, s.budgets.clone());
-        for (bank, &budget) in s.budgets.iter().enumerate() {
-            if budget > 0 {
-                pb.try_access(bank, budget.min(64), SimTime::ZERO);
-            }
-        }
-        let horizon = SimTime::ZERO + period * u64::from(s.horizon_periods) + period / 2;
-        let mut process = PerBankProcess::new(pb, horizon);
-        if process.first_boundary() != SimTime::ZERO + period {
-            return violation(
-                "perbank.first_boundary",
-                format!(
-                    "first boundary {} ps != period {} ps",
-                    process.first_boundary().as_ps(),
-                    period.as_ps()
-                ),
-            );
-        }
-        let mut engine: Engine<RegulationEvent> = Engine::new();
-        engine.schedule_at(process.first_boundary(), RegulationEvent::Replenish);
-        engine.run_until(&mut process, horizon);
-        if process.replenishments() != u64::from(s.horizon_periods) {
-            return violation(
-                "perbank.one_replenish_per_boundary",
-                format!(
-                    "{} replenishments over {} periods",
-                    process.replenishments(),
-                    s.horizon_periods
-                ),
-            );
-        }
-        for bank in 0..banks {
-            if process.regulator().used(bank) != 0 {
-                return violation(
-                    "perbank.replenish_resets_usage",
-                    format!(
-                        "bank {bank} still shows {} bytes used after the last boundary",
-                        process.regulator().used(bank)
-                    ),
-                );
-            }
-        }
-
         // Service guarantee under saturated demand: a bank with budget
         // `B > 0` hammered in `CHUNK`-byte accesses over `h` full periods
         // is granted at least `h * B` bytes (the MemGuard guarantee) and
@@ -488,7 +364,7 @@ impl Oracle {
             if budget == 0 {
                 continue;
             }
-            let mut sat = PerBankMemGuard::new(period, s.budgets.clone());
+            let mut sat = MemGuard::new(period, s.budgets.clone());
             let mut t = SimTime::ZERO;
             let mut granted = 0u64;
             let mut steps = 0u64;
@@ -875,7 +751,7 @@ fn fleet_config(s: &FleetScenario, topology: FleetTopology, root_scale: f64) -> 
     }
 }
 
-/// Replays `workload` through a two-bank [`PerBankMemGuard`] (bank 0 —
+/// Replays `workload` through a [`MemGuard`] keyed by bank (bank 0 —
 /// reads — effectively unregulated, bank 1 — writes — on the scenario
 /// budget) and returns the stream with each request's arrival deferred to
 /// its grant time. Per-bank FIFO order is preserved and grant times are
@@ -884,7 +760,7 @@ fn regulate_workload(workload: &[Request], s: &DiffScenario) -> Result<Vec<Reque
     const BYTES_PER_REQ: u64 = 8;
     let period = SimDuration::from_ns(s.period_ns as f64);
     let budgets = vec![1u64 << 40, s.write_budget.max(BYTES_PER_REQ)];
-    let mut pb = PerBankMemGuard::new(period, budgets);
+    let mut pb = MemGuard::new(period, budgets);
     let reads: Vec<&Request> = workload.iter().filter(|r| r.bank == 0).collect();
     let writes: Vec<&Request> = workload.iter().filter(|r| r.bank != 0).collect();
     let mut out = Vec::with_capacity(workload.len());
@@ -1081,9 +957,40 @@ fn check_noc(s: &NocScenario) -> Result<CaseResult, Violation> {
     Ok(CaseResult::Pass)
 }
 
-fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
+/// The `&'static` invariant name `{ns}.{name}` in one of the two
+/// regulator namespaces.
+macro_rules! regulator_invariant {
+    ($ns:expr, $name:literal) => {
+        match $ns {
+            "memguard" => concat!("memguard.", $name),
+            "perbank" => concat!("perbank.", $name),
+            ns => unreachable!("no regulator namespace {ns}"),
+        }
+    };
+}
+
+/// The reference boundary arithmetic, kept independent of the
+/// regulator's own: the start of the period following the one that
+/// contains `now`.
+fn boundary_after(period: SimDuration, now: SimTime) -> SimTime {
+    let idx = now.as_ps() / period.as_ps();
+    SimTime::from_ps((idx + 1).saturating_mul(period.as_ps()))
+}
+
+/// Replays a [`RegulatorScenario`] through [`MemGuard`] with one budget
+/// per `index` (`"core"` or `"bank"`), reporting violations in the `ns`
+/// invariant namespace (`"memguard"` or `"perbank"`): zero budgets never
+/// grant, no grant past the budget, at most one overdraw, throttles point
+/// at the next boundary, lazy and eager replenishment take identical
+/// decisions, and [`MemGuardProcess`] fires once per boundary and leaves
+/// usage fresh.
+fn check_regulator_replay(
+    s: &RegulatorScenario,
+    ns: &'static str,
+    index: &str,
+) -> Result<(), Violation> {
     let period = SimDuration::from_ns(s.period_ns as f64);
-    let cores = s.budgets.len();
+    let indices = s.budgets.len();
     let mut lazy = MemGuard::new(period, s.budgets.clone());
     let mut eager = MemGuard::new(period, s.budgets.clone());
     let mut now_ns = 0u64;
@@ -1091,35 +998,38 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     for access in &s.accesses {
         now_ns += access.gap_ns;
         let now = SimTime::from_ns(now_ns as f64);
-        let core = access.core as usize % cores;
-        let budget = s.budgets[core];
-        let before = lazy_used_after_roll(&mut lazy, core, now);
-        let decision = lazy.try_access(core, access.bytes, now);
+        let i = access.index as usize % indices;
+        let budget = s.budgets[i];
+        // Usage as the lazy regulator sees it for this decision (after
+        // its internal period roll).
+        lazy.replenish(now);
+        let before = lazy.used(i);
+        let decision = lazy.try_access(i, access.bytes, now);
         match decision {
             AccessDecision::Granted => {
                 if budget == 0 {
                     return violation(
-                        "memguard.zero_budget_never_grants",
-                        format!("core {core} granted {} bytes at {now_ns} ns", access.bytes),
+                        regulator_invariant!(ns, "zero_budget_never_grants"),
+                        format!("{index} {i} granted {} bytes at {now_ns} ns", access.bytes),
                     );
                 }
                 if before >= budget {
                     return violation(
-                        "memguard.no_grant_past_budget",
+                        regulator_invariant!(ns, "no_grant_past_budget"),
                         format!(
-                            "core {core} at {now_ns} ns: {before} bytes already used >= \
+                            "{index} {i} at {now_ns} ns: {before} bytes already used >= \
                              budget {budget}, yet granted"
                         ),
                     );
                 }
                 // At most one overdraw: usage after the grant is below
                 // budget + the access size.
-                if lazy.used(core) >= budget + access.bytes {
+                if lazy.used(i) >= budget + access.bytes {
                     return violation(
-                        "memguard.single_overdraw",
+                        regulator_invariant!(ns, "single_overdraw"),
                         format!(
-                            "core {core}: used {} >= budget {budget} + access {}",
-                            lazy.used(core),
+                            "{index} {i}: used {} >= budget {budget} + access {}",
+                            lazy.used(i),
                             access.bytes
                         ),
                     );
@@ -1129,9 +1039,9 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
                 let expected = boundary_after(period, now);
                 if until != expected {
                     return violation(
-                        "memguard.throttle_points_to_boundary",
+                        regulator_invariant!(ns, "throttle_points_to_boundary"),
                         format!(
-                            "core {core} at {now_ns} ns throttled until {} ps, \
+                            "{index} {i} at {now_ns} ns throttled until {} ps, \
                              boundary is {} ps",
                             until.as_ps(),
                             expected.as_ps()
@@ -1140,7 +1050,7 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
                 }
                 if until <= now {
                     return violation(
-                        "memguard.throttle_in_future",
+                        regulator_invariant!(ns, "throttle_in_future"),
                         format!(
                             "throttle target {} ps <= now {} ps",
                             until.as_ps(),
@@ -1156,12 +1066,12 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
             eager.replenish(SimTime::from_ps(eager_boundary));
             eager_boundary += period.as_ps();
         }
-        let eager_decision = eager.try_access(core, access.bytes, now);
+        let eager_decision = eager.try_access(i, access.bytes, now);
         if eager_decision != decision {
             return violation(
-                "memguard.lazy_matches_eager",
+                regulator_invariant!(ns, "lazy_matches_eager"),
                 format!(
-                    "core {core} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
+                    "{index} {i} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
                 ),
             );
         }
@@ -1170,16 +1080,16 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     // Event-driven path: the replenishment timer fires exactly once per
     // boundary and leaves budgets fresh.
     let mut mg = MemGuard::new(period, s.budgets.clone());
-    for (core, &budget) in s.budgets.iter().enumerate() {
+    for (i, &budget) in s.budgets.iter().enumerate() {
         if budget > 0 {
-            mg.try_access(core, budget.min(64), SimTime::ZERO);
+            mg.try_access(i, budget.min(64), SimTime::ZERO);
         }
     }
     let horizon = SimTime::ZERO + period * u64::from(s.horizon_periods) + period / 2;
     let mut process = MemGuardProcess::new(mg, horizon);
     if process.first_boundary() != SimTime::ZERO + period {
         return violation(
-            "memguard.first_boundary",
+            regulator_invariant!(ns, "first_boundary"),
             format!(
                 "first boundary {} ps != period {} ps",
                 process.first_boundary().as_ps(),
@@ -1192,7 +1102,7 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     engine.run_until(&mut process, horizon);
     if process.replenishments() != u64::from(s.horizon_periods) {
         return violation(
-            "memguard.one_replenish_per_boundary",
+            regulator_invariant!(ns, "one_replenish_per_boundary"),
             format!(
                 "{} replenishments over {} periods",
                 process.replenishments(),
@@ -1200,25 +1110,18 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
             ),
         );
     }
-    for core in 0..cores {
-        if process.memguard().used(core) != 0 {
+    for i in 0..indices {
+        if process.memguard().used(i) != 0 {
             return violation(
-                "memguard.replenish_resets_usage",
+                regulator_invariant!(ns, "replenish_resets_usage"),
                 format!(
-                    "core {core} still shows {} bytes used after the last boundary",
-                    process.memguard().used(core)
+                    "{index} {i} still shows {} bytes used after the last boundary",
+                    process.memguard().used(i)
                 ),
             );
         }
     }
-    Ok(CaseResult::Pass)
-}
-
-/// Usage of `core` as the lazy regulator will see it for a decision at
-/// `now` (after its internal period roll), without issuing an access.
-fn lazy_used_after_roll(mg: &mut MemGuard, core: usize, now: SimTime) -> u64 {
-    mg.replenish(now);
-    mg.used(core)
+    Ok(())
 }
 
 fn check_sched(s: &SchedScenario) -> Result<CaseResult, Violation> {
@@ -1583,4 +1486,22 @@ fn check_closed_loop(s: &ClosedLoopScenario) -> Result<CaseResult, Violation> {
         );
     }
     Ok(CaseResult::Pass)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn boundary_after_lands_on_next_multiple() {
+        let period = SimDuration::from_us(1.0);
+        assert_eq!(
+            boundary_after(period, SimTime::from_ns(400.0)),
+            SimTime::from_us(1.0)
+        );
+        assert_eq!(
+            boundary_after(period, SimTime::from_us(1.0)),
+            SimTime::from_us(2.0)
+        );
+    }
 }

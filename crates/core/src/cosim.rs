@@ -976,29 +976,13 @@ impl CoSim {
                 core,
                 bytes_per_period,
             } => {
-                let min_packet = self
-                    .tasks
-                    .iter()
-                    .filter(|t| t.spec.core == core)
-                    .map(|t| t.spec.bytes_per_packet)
-                    .max()
-                    .unwrap_or(0);
-                let guaranteed = self.guaranteed;
-                let mg = self.memguard.memguard_mut();
-                if core >= mg.cores() || bytes_per_period < min_packet {
-                    self.controls_refused += 1;
-                    return;
-                }
-                let old = mg.budget(core);
-                mg.set_budget(core, bytes_per_period);
-                if guaranteed > 0.0 && !mg.is_feasible(guaranteed) {
-                    mg.set_budget(core, old);
-                    self.controls_refused += 1;
-                } else {
+                if self.guarded_set_budget(core, bytes_per_period) {
                     self.controls_applied += 1;
                     if let Some(q) = self.qos.as_mut() {
                         q.note_budget(core, bytes_per_period);
                     }
+                } else {
+                    self.controls_refused += 1;
                 }
             }
             ControlCommand::StopTask { task } => {
@@ -1012,9 +996,12 @@ impl CoSim {
         }
     }
 
-    /// Retunes one core's budget on behalf of the closed loop, under the
-    /// same admission guards as a scripted [`ControlCommand::SetBudget`].
-    fn loop_set_budget(&mut self, core: usize, bytes_per_period: u64) -> bool {
+    /// Retunes one core's budget for a scripted
+    /// [`ControlCommand::SetBudget`] or the closed loop. Refuses (and
+    /// returns `false`) an out-of-range core, a budget below the core's
+    /// largest packet, or a change that breaks feasibility against the
+    /// guaranteed bandwidth, which is rolled back.
+    fn guarded_set_budget(&mut self, core: usize, bytes_per_period: u64) -> bool {
         let min_packet = self
             .tasks
             .iter()
@@ -1107,7 +1094,7 @@ impl CoSim {
                     core,
                     bytes_per_period,
                 } => {
-                    if self.loop_set_budget(core, bytes_per_period) {
+                    if self.guarded_set_budget(core, bytes_per_period) {
                         q.loop_adjustments += 1;
                         q.note_budget(core, bytes_per_period);
                     }

@@ -7,11 +7,14 @@
 //! bandwidths on the level of cores, hypervisor partitions or single
 //! applications using software-based mechanisms such as Memguard \[6\]".
 //!
-//! * [`perf`] — the per-core performance-counter abstraction the
-//!   regulator reads;
-//! * [`memguard`] — a MemGuard-style regulator: per-core bandwidth
-//!   budgets replenished every period, with cores throttled until the
-//!   next period once their budget is spent;
+//! * [`memguard`] — a MemGuard-style regulator: bandwidth budgets per
+//!   core (or per DRAM bank) replenished every period, throttled until
+//!   the next period once spent; its per-period usage counter models the
+//!   performance counter whose overflow interrupt MemGuard reads;
+//! * [`process`] — the same regulator with event-driven replenishment
+//!   on the simulation kernel;
+//! * [`closed_loop`] — the MPAM-monitor-driven budget controller with
+//!   its sensor watchdog;
 //! * [`shaper`] — a [`SimTime`]-domain token-bucket traffic shaper (the
 //!   hardware-friendly regulation primitive of §IV-A).
 //!
@@ -38,7 +41,6 @@
 
 pub mod closed_loop;
 pub mod memguard;
-pub mod perf;
 pub mod process;
 pub mod shaper;
 
@@ -46,7 +48,6 @@ pub use closed_loop::{
     ClosedLoopConfig, ClosedLoopController, DegradationReason, LoopAction, MonitorCapture,
     PartitionTarget, SensorWatchdogConfig,
 };
-pub use memguard::{AccessDecision, MemGuard, PerBankMemGuard};
-pub use perf::PerfCounters;
-pub use process::{MemGuardProcess, PerBankProcess, RegulationEvent};
+pub use memguard::{AccessDecision, MemGuard};
+pub use process::{MemGuardProcess, RegulationEvent};
 pub use shaper::TrafficShaper;
