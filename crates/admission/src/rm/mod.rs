@@ -12,8 +12,8 @@
 //! * the **instantaneous** API ([`request_admission`], [`terminate`]) used
 //!   when the control plane is ideal — messages are only logged, never
 //!   lost, and rounds complete atomically;
-//! * the **message-driven** API ([`receive`], [`poll`]) used under fault
-//!   injection: every message travels in a sequence-numbered `Envelope`,
+//! * the **message-driven** API ([`receive_batch`], [`poll`]) used under
+//!   fault injection: every message travels in a sequence-numbered `Envelope`,
 //!   `confMsg`s are retransmitted with bounded backoff until acknowledged,
 //!   a heartbeat-driven [watchdog](WatchdogConfig) reclaims the bandwidth
 //!   of dead or hung clients via a forced mode transition, flapping
@@ -23,7 +23,7 @@
 //!
 //! [`request_admission`]: ResourceManager::request_admission
 //! [`terminate`]: ResourceManager::terminate
-//! [`receive`]: ResourceManager::receive
+//! [`receive_batch`]: ResourceManager::receive_batch
 //! [`poll`]: ResourceManager::poll
 //!
 //! At fleet scale a single RM is a wall; the [`cluster`] and [`root`]
@@ -34,7 +34,7 @@
 pub mod cluster;
 pub mod root;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 
 use autoplat_sim::{SimDuration, SimTime};
 
@@ -42,7 +42,7 @@ use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
 use crate::error::{check_latency, AdmissionError};
 use crate::modes::{RatePolicy, SystemMode};
-use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState};
+use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState, SeqWindow};
 
 /// Watchdog and degradation parameters for the message-driven RM.
 ///
@@ -104,6 +104,76 @@ struct PendingConf {
     next_retry_cycle: u64,
 }
 
+/// Everything the RM knows about one registered client.
+#[derive(Debug, Clone)]
+struct ClientSlot {
+    /// The registered metadata, so an `actMsg` (which carries only the
+    /// id) can be resolved to criticality and demand.
+    app: Application,
+    /// Whether the application is in the active set.
+    active: bool,
+    /// Last cycle the client was heard from; `None` while the watchdog
+    /// does not monitor it.
+    heard: Option<u64>,
+    /// The unacknowledged `confMsg` towards the client (a newer round
+    /// supersedes an older one). Boxed: few clients have one at a time,
+    /// and the slot stays small.
+    pending_conf: Option<Box<PendingConf>>,
+    /// The rate the client was told in the last conf round; feeds
+    /// duplicate-activation re-confirmation without recomputing the
+    /// policy, and the delta-conf optimisation.
+    last_rate: Option<f64>,
+    /// Reclamations so far, feeding the quarantine decision.
+    reclaims: u32,
+    /// The first cycle a quarantined client may return.
+    quarantined_until: Option<u64>,
+    /// Whether the client's `confMsg` exhausted its retry budget.
+    degraded: bool,
+    /// The sequence numbers accepted from the client.
+    rx: SeqWindow,
+}
+
+impl ClientSlot {
+    fn new(app: Application) -> Self {
+        ClientSlot {
+            app,
+            active: false,
+            heard: None,
+            pending_conf: None,
+            last_rate: None,
+            reclaims: 0,
+            quarantined_until: None,
+            degraded: false,
+            rx: SeqWindow::default(),
+        }
+    }
+}
+
+/// The index of `app`'s slot in the id-sorted `slots`.
+///
+/// A shard's ids usually form an arithmetic progression (client `i` of
+/// `n` shards lives in shard `i % n`), so the interpolated guess lands
+/// on the slot in one probe; a binary search covers every other layout.
+fn find_slot(slots: &[ClientSlot], app: AppId) -> Option<usize> {
+    let (first, last) = (slots.first()?.app.id.0, slots.last()?.app.id.0);
+    if app.0 < first || app.0 > last {
+        return None;
+    }
+    if last > first {
+        let span = u64::from(last - first);
+        let guess = (u64::from(app.0 - first) * (slots.len() as u64 - 1) / span) as usize;
+        if slots[guess].app.id == app {
+            return Some(guess);
+        }
+    }
+    slots.binary_search_by_key(&app, |s| s.app.id).ok()
+}
+
+/// Whether the watchdog entry `(heard, app)` is the client's latest.
+fn is_live(slots: &[ClientSlot], heard: u64, app: AppId) -> bool {
+    find_slot(slots, app).is_some_and(|s| slots[s].heard == Some(heard))
+}
+
 /// Result of an admission request.
 #[derive(Debug, Clone)]
 pub struct AdmissionOutcome {
@@ -134,11 +204,10 @@ pub struct AdmissionOutcome {
 pub struct ResourceManager<P> {
     policy: P,
     /// The active applications in admission order (the mode's member
-    /// list); `active_ids` indexes it for membership tests.
+    /// list, and the policy's input).
     active: Vec<Application>,
-    /// Index over `active` keyed by client id, so membership checks and
-    /// removals need no linear scan.
-    active_ids: BTreeSet<AppId>,
+    /// The slot of each entry of `active`, in the same order.
+    active_slots: Vec<u32>,
     log: MessageLog,
     mode_changes: u64,
     rejections: u64,
@@ -149,35 +218,30 @@ pub struct ResourceManager<P> {
     // --- fault-tolerance state (message-driven API) ---
     watchdog: WatchdogConfig,
     retry: RetryPolicy,
-    /// Application metadata known to the RM, keyed by id, so an `actMsg`
-    /// (which carries only the id) can be resolved to demands.
-    known: BTreeMap<AppId, Application>,
-    /// Last cycle each monitored client was heard from.
-    last_heartbeat: BTreeMap<AppId, u64>,
-    /// `(heard_cycle, app)` index over `last_heartbeat`, so the watchdog
-    /// sweep and deadline query are O(log n) instead of scanning every
-    /// monitored client.
-    heartbeat_index: BTreeSet<(u64, AppId)>,
-    /// Reclamation counts feeding the quarantine decision.
-    reclaim_counts: BTreeMap<AppId, u32>,
-    /// Quarantined applications and the first cycle they may return.
-    quarantined: BTreeMap<AppId, u64>,
-    /// Applications whose `confMsg` exhausted its retry budget; non-empty
-    /// means safe mode.
-    degraded: BTreeSet<AppId>,
+    /// One slot per registered application, in ascending id order, so
+    /// every per-client sweep runs in deterministic id order.
+    slots: Vec<ClientSlot>,
+    /// The watchdog queue: `(heard_cycle, app)` in the order clients were
+    /// heard, hence by non-decreasing cycle. An entry whose `heard_cycle`
+    /// is no longer its slot's is stale and skipped; the front is always
+    /// live, so it holds the earliest last-heard cycle of any monitored
+    /// client.
+    watch: VecDeque<(u64, AppId)>,
+    /// Slots whose `heard` is set.
+    monitored: usize,
+    /// The latest cycle passed to `receive_batch` or `poll`; the watchdog
+    /// queue's order relies on it never decreasing.
+    clock: u64,
+    /// Slots whose `degraded` is set; non-zero means safe mode.
+    degraded: usize,
     next_seq: u64,
-    rx: ReceiveState,
-    /// At most one unacknowledged `confMsg` per client (newer rounds
-    /// supersede older ones), keyed by client id so retransmission and
-    /// give-up sweeps iterate in deterministic id order.
-    pending_confs: BTreeMap<AppId, PendingConf>,
-    /// `(next_retry_cycle, app)` index over `pending_confs`, so due
-    /// retransmissions are found without scanning every pending conf.
+    /// Receive window for senders with no slot (unregistered clients).
+    strangers: ReceiveState,
+    /// Duplicates suppressed by the slots' receive windows.
+    duplicates: u64,
+    /// `(next_retry_cycle, app)` index over the slots' pending confs, so
+    /// due retransmissions are found without scanning every slot.
     conf_retry_index: BTreeSet<(u64, AppId)>,
-    /// The rate each active client was told in the last conf round; feeds
-    /// duplicate-activation re-confirmation without recomputing the
-    /// policy, and the delta-conf optimisation.
-    last_rates: BTreeMap<AppId, f64>,
     /// When set, a reconfiguration round only sends `stopMsg`/`confMsg`
     /// to clients whose rate actually changed (newly admitted clients
     /// always get one). Off by default: the paper's protocol re-confirms
@@ -217,7 +281,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         Ok(ResourceManager {
             policy,
             active: Vec::new(),
-            active_ids: BTreeSet::new(),
+            active_slots: Vec::new(),
             log: MessageLog::new(),
             mode_changes: 0,
             rejections: 0,
@@ -225,17 +289,15 @@ impl<P: RatePolicy> ResourceManager<P> {
             overhead: SimDuration::ZERO,
             watchdog: WatchdogConfig::default(),
             retry: RetryPolicy::default(),
-            known: BTreeMap::new(),
-            last_heartbeat: BTreeMap::new(),
-            heartbeat_index: BTreeSet::new(),
-            reclaim_counts: BTreeMap::new(),
-            quarantined: BTreeMap::new(),
-            degraded: BTreeSet::new(),
+            slots: Vec::new(),
+            watch: VecDeque::new(),
+            monitored: 0,
+            clock: 0,
+            degraded: 0,
             next_seq: 0,
-            rx: ReceiveState::new(),
-            pending_confs: BTreeMap::new(),
+            strangers: ReceiveState::new(),
+            duplicates: 0,
             conf_retry_index: BTreeSet::new(),
-            last_rates: BTreeMap::new(),
             delta_confs: false,
             logging: true,
             preapproved: false,
@@ -293,23 +355,26 @@ impl<P: RatePolicy> ResourceManager<P> {
         &self.active
     }
 
-    /// Whether `app` is in the active set (indexed lookup, no scan).
-    fn is_active(&self, app: AppId) -> bool {
-        self.active_ids.contains(&app)
+    fn slot(&self, app: AppId) -> Option<usize> {
+        find_slot(&self.slots, app)
     }
 
-    /// Adds `app` to the active set, keeping the id index in sync.
-    fn activate(&mut self, app: Application) {
-        self.active_ids.insert(app.id);
+    /// Adds the application of slot `s` to the active set.
+    fn activate(&mut self, s: usize, app: Application) {
+        self.slots[s].active = true;
         self.active.push(app);
+        self.active_slots.push(s as u32);
     }
 
-    /// Removes `app` from the active set; `true` when it was present.
-    fn deactivate(&mut self, app: AppId) -> bool {
-        if !self.active_ids.remove(&app) {
+    /// Removes the application of slot `s` from the active set; `true`
+    /// when it was present.
+    fn deactivate(&mut self, s: usize) -> bool {
+        if !std::mem::take(&mut self.slots[s].active) {
             return false;
         }
+        let app = self.slots[s].app.id;
         self.active.retain(|a| a.id != app);
+        self.active_slots.retain(|&a| a as usize != s);
         true
     }
 
@@ -340,14 +405,16 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// On success the system transitions to the next mode and every
     /// active client is re-configured (stop + config round). On failure
     /// (the policy cannot serve the resulting set) the system state is
-    /// unchanged.
+    /// unchanged. An admitted application that was not registered is
+    /// registered.
     pub fn request_admission(&mut self, app: Application, now: SimTime) -> AdmissionOutcome {
         self.log_msg(now, ControlMessage::Activation { app: app.id });
         let mut candidate = self.active.clone();
         candidate.push(app);
         match self.compute_rates(&candidate) {
             Some(rates) => {
-                self.activate(app);
+                let s = self.slot(app.id).unwrap_or_else(|| self.insert_slot(app));
+                self.activate(s, app);
                 self.mode_changes += 1;
                 let mode = self.mode();
                 self.reconfigure(now, &rates, mode);
@@ -360,7 +427,7 @@ impl<P: RatePolicy> ResourceManager<P> {
             None => {
                 self.rejections += 1;
                 let mode = self.mode();
-                let rates = self.compute_rates(&self.active.clone()).unwrap_or_default();
+                let rates = self.compute_rates(&self.active).unwrap_or_default();
                 AdmissionOutcome {
                     admitted: false,
                     mode,
@@ -375,11 +442,11 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// Unknown applications are ignored (idempotent termination).
     pub fn terminate(&mut self, app: AppId, now: SimTime) {
         self.log_msg(now, ControlMessage::Termination { app });
-        if self.deactivate(app) {
+        if self.slot(app).is_some_and(|s| self.deactivate(s)) {
             self.mode_changes += 1;
             self.departures.push(app);
             let mode = self.mode();
-            if let Some(rates) = self.compute_rates(&self.active.clone()) {
+            if let Some(rates) = self.compute_rates(&self.active) {
                 self.reconfigure(now, &rates, mode);
             }
         }
@@ -398,37 +465,77 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
     }
 
-    /// Records proof of life from `app`, keeping the watchdog index in
-    /// sync.
-    fn touch(&mut self, app: AppId, now_cycle: u64) {
-        if let Some(old) = self.last_heartbeat.insert(app, now_cycle) {
-            self.heartbeat_index.remove(&(old, app));
+    /// Records proof of life from the client of slot `s`.
+    fn touch(&mut self, s: usize, now_cycle: u64) {
+        let slot = &mut self.slots[s];
+        match slot.heard {
+            // Its entry for this cycle is already queued.
+            Some(heard) if heard == now_cycle => return,
+            Some(_) => {}
+            None => self.monitored += 1,
         }
-        self.heartbeat_index.insert((now_cycle, app));
+        slot.heard = Some(now_cycle);
+        self.watch.push_back((now_cycle, slot.app.id));
+        // Drop the stale entries once the queue holds four entries per
+        // monitored client, so it stays O(monitored) however rarely the
+        // caller polls.
+        if self.watch.len() > 4 * self.monitored + 64 {
+            let slots = &self.slots;
+            self.watch
+                .retain(|&(heard, app)| is_live(slots, heard, app));
+        }
     }
 
-    /// Stops monitoring `app`, keeping the watchdog index in sync.
-    fn untouch(&mut self, app: AppId) {
-        if let Some(old) = self.last_heartbeat.remove(&app) {
-            self.heartbeat_index.remove(&(old, app));
+    /// Stops monitoring the client of slot `s`.
+    fn untouch(&mut self, s: usize) {
+        if self.slots[s].heard.take().is_some() {
+            self.monitored -= 1;
         }
     }
 
-    /// Installs (or supersedes) the pending conf towards `app`, keeping
-    /// the retry index in sync.
-    fn set_pending_conf(&mut self, app: AppId, pending: PendingConf) {
-        if let Some(old) = self.pending_confs.insert(app, pending) {
+    /// Pops stale entries off the watchdog queue, so its front is the
+    /// earliest live heartbeat.
+    fn settle_watch(&mut self) {
+        while let Some(&(heard, app)) = self.watch.front() {
+            if is_live(&self.slots, heard, app) {
+                break;
+            }
+            self.watch.pop_front();
+        }
+    }
+
+    /// Advances the RM's clock to `now_cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now_cycle` is earlier than a cycle already passed to
+    /// [`receive_batch`](Self::receive_batch) or [`poll`](Self::poll).
+    fn advance_clock(&mut self, now_cycle: u64) {
+        assert!(
+            now_cycle >= self.clock,
+            "RM clock went backwards: cycle {now_cycle} after cycle {}",
+            self.clock
+        );
+        self.clock = now_cycle;
+    }
+
+    /// Installs (or supersedes) the pending conf towards slot `s`,
+    /// keeping the retry index in sync.
+    fn set_pending_conf(&mut self, s: usize, pending: PendingConf) {
+        let app = self.slots[s].app.id;
+        if let Some(old) = self.slots[s].pending_conf.replace(Box::new(pending)) {
             self.conf_retry_index.remove(&(old.next_retry_cycle, app));
         }
         self.conf_retry_index
             .insert((pending.next_retry_cycle, app));
     }
 
-    /// Clears any pending conf towards `app`, keeping the retry index in
-    /// sync.
-    fn clear_pending_conf(&mut self, app: AppId) {
-        if let Some(old) = self.pending_confs.remove(&app) {
-            self.conf_retry_index.remove(&(old.next_retry_cycle, app));
+    /// Clears any pending conf towards slot `s`, keeping the retry index
+    /// in sync.
+    fn clear_pending_conf(&mut self, s: usize) {
+        if let Some(old) = self.slots[s].pending_conf.take() {
+            self.conf_retry_index
+                .remove(&(old.next_retry_cycle, self.slots[s].app.id));
         }
     }
 
@@ -465,19 +572,51 @@ impl<P: RatePolicy> ResourceManager<P> {
 
     /// Pre-registers application metadata so an `actMsg` (which carries
     /// only the id) can be resolved to criticality and demand.
+    /// Re-registering an id replaces its metadata.
+    ///
+    /// Registering ids in ascending order appends; any other order
+    /// inserts, which costs O(registered).
     pub fn register(&mut self, app: Application) {
-        self.known.insert(app.id, app);
+        match self.slot(app.id) {
+            Some(s) => self.slots[s].app = app,
+            None => {
+                self.insert_slot(app);
+            }
+        }
+    }
+
+    /// Registers every application of `apps`, reserving their slots up
+    /// front (see [`register`](Self::register)).
+    pub fn register_all(&mut self, apps: impl IntoIterator<Item = Application>) {
+        let apps = apps.into_iter();
+        self.slots.reserve(apps.size_hint().0);
+        for app in apps {
+            self.register(app);
+        }
+    }
+
+    /// Adds a slot for the unregistered `app` at its id-order position
+    /// and returns its index.
+    fn insert_slot(&mut self, app: Application) -> usize {
+        let s = self.slots.partition_point(|slot| slot.app.id < app.id);
+        self.slots.insert(s, ClientSlot::new(app));
+        for a in &mut self.active_slots {
+            if *a as usize >= s {
+                *a += 1;
+            }
+        }
+        s
     }
 
     /// The registered metadata for `app`, if any.
     pub fn known_app(&self, app: AppId) -> Option<&Application> {
-        self.known.get(&app)
+        self.slot(app).map(|s| &self.slots[s].app)
     }
 
     /// True while a `confMsg` retry budget is exhausted and the platform
     /// is running degraded: previous rates retained, admissions refused.
     pub fn is_safe_mode(&self) -> bool {
-        !self.degraded.is_empty()
+        self.degraded > 0
     }
 
     /// Applications reclaimed by the watchdog so far.
@@ -497,24 +636,24 @@ impl<P: RatePolicy> ResourceManager<P> {
 
     /// Duplicated deliveries the RM suppressed.
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.rx.duplicates_suppressed()
+        self.duplicates + self.strangers.duplicates_suppressed()
     }
 
     /// `confMsg`s still awaiting acknowledgement.
     pub fn pending_conf_count(&self) -> usize {
-        self.pending_confs.len()
+        self.conf_retry_index.len()
     }
 
     /// The cycle until which `app` is quarantined, if it is.
     pub fn quarantined_until(&self, app: AppId) -> Option<u64> {
-        self.quarantined.get(&app).copied()
+        self.slot(app).and_then(|s| self.slots[s].quarantined_until)
     }
 
     /// Whether `app` could be admitted right now, with the refusal reason
     /// when not. (The policy check still happens at admission proper; this
     /// covers the fault-tolerance gates.)
     pub fn check_admissible(&self, app: AppId, now_cycle: u64) -> Result<(), AdmissionError> {
-        if let Some(&until_cycle) = self.quarantined.get(&app) {
+        if let Some(until_cycle) = self.quarantined_until(app) {
             if now_cycle < until_cycle {
                 return Err(AdmissionError::Quarantined { app, until_cycle });
             }
@@ -546,33 +685,34 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// told about (newly admitted clients always have).
     fn reconfigure_envelopes(&mut self, now_cycle: u64) -> Vec<Envelope> {
         let rates = self
-            .compute_rates(&self.active.clone())
+            .compute_rates(&self.active)
             .expect("active set was admitted, so rates exist");
         let mode = self.mode();
         let now = SimTime::from_ns(now_cycle as f64);
-        let mut round: Vec<(AppId, f64)> = Vec::with_capacity(rates.len());
-        for (app, tb) in &rates {
+        let mut round: Vec<(usize, AppId, f64)> = Vec::new();
+        for (&s, &(app, tb)) in self.active_slots.iter().zip(&rates) {
             let rate = tb.rate();
-            let unchanged = self.last_rates.get(app) == Some(&rate);
-            self.last_rates.insert(*app, rate);
+            let slot = &mut self.slots[s as usize];
+            let unchanged = slot.last_rate == Some(rate);
+            slot.last_rate = Some(rate);
             if !self.delta_confs || !unchanged {
-                round.push((*app, rate));
+                round.push((s as usize, app, rate));
             }
         }
         let mut out = Vec::with_capacity(2 * round.len());
-        for &(app, _) in &round {
+        for &(_, app, _) in &round {
             self.log_msg(now, ControlMessage::Stop { app });
             out.push(self.envelope_to(app, now_cycle, ControlMessage::Stop { app }));
         }
         let conf_at = now + SimDuration::from_ns(self.message_latency_ns);
-        for &(app, rate) in &round {
+        for &(s, app, rate) in &round {
             let conf = ControlMessage::Config { app, mode, rate };
             self.log_msg(conf_at, conf);
             let envelope = self.envelope_to(app, now_cycle, conf);
             // A newer round supersedes any conf still in flight to the
             // same client.
             self.set_pending_conf(
-                app,
+                s,
                 PendingConf {
                     envelope,
                     attempts: 1,
@@ -585,151 +725,75 @@ impl<P: RatePolicy> ResourceManager<P> {
         out
     }
 
-    /// Handles a delivered envelope idempotently, returning the envelopes
-    /// to send in response (acks, stop/config rounds, refusals).
-    pub fn receive(&mut self, envelope: Envelope, now_cycle: u64) -> Vec<Envelope> {
-        let app = envelope.message.app();
-        // Any message is proof of life for the watchdog.
-        if self.last_heartbeat.contains_key(&app) {
-            self.touch(app, now_cycle);
-        }
-        let fresh = self.rx.accept(envelope.from, envelope.seq);
+    /// Records `envelope` in its sender's receive window: `true` when it
+    /// is fresh. `slot` is the slot of the application it concerns.
+    fn accept(&mut self, envelope: &Envelope, slot: Option<usize>) -> bool {
+        let sender = match envelope.from {
+            Endpoint::Client(c) if c == envelope.message.app() => slot,
+            Endpoint::Client(c) => self.slot(c),
+            Endpoint::Rm => None,
+        };
+        let Some(s) = sender else {
+            return self.strangers.accept(envelope.from, envelope.seq);
+        };
+        let fresh = self.slots[s].rx.accept(envelope.seq);
         if !fresh {
-            return self.respond_to_duplicate(envelope, now_cycle);
+            self.duplicates += 1;
         }
-        match envelope.message {
-            ControlMessage::Activation { app } => self.receive_activation(app, now_cycle),
-            ControlMessage::Termination { app } => {
-                let ack = self.envelope_to(
-                    app,
-                    now_cycle,
-                    ControlMessage::Ack {
-                        app,
-                        of_seq: envelope.seq,
-                    },
-                );
-                let mut out = vec![ack];
-                out.extend(self.receive_termination(app, now_cycle));
-                out
-            }
-            ControlMessage::Heartbeat { .. } => Vec::new(),
-            ControlMessage::Ack { app, of_seq } => {
-                // Only the ack of the *current* pending conf clears it;
-                // a stale ack of a superseded round keeps retransmitting.
-                if self
-                    .pending_confs
-                    .get(&app)
-                    .is_some_and(|p| p.envelope.seq == of_seq)
-                {
-                    self.clear_pending_conf(app);
-                }
-                Vec::new()
-            }
-            // RM-originated kinds arriving here are protocol noise.
-            ControlMessage::Stop { .. }
-            | ControlMessage::Config { .. }
-            | ControlMessage::Refusal { .. } => Vec::new(),
-        }
+        fresh
     }
 
     /// A duplicated delivery re-elicits the current decision: the previous
     /// response may itself have been lost.
-    fn respond_to_duplicate(&mut self, envelope: Envelope, now_cycle: u64) -> Vec<Envelope> {
+    fn respond_to_duplicate(
+        &mut self,
+        envelope: &Envelope,
+        slot: Option<usize>,
+        now_cycle: u64,
+    ) -> Option<Envelope> {
         let app = envelope.message.app();
         match envelope.message {
-            ControlMessage::Activation { .. } => {
-                if self.is_active(app) {
-                    // Already admitted: re-send this client's current conf
-                    // from the rate cache (always fresh — every membership
-                    // change reconfigures and refills it).
-                    let mode = self.mode();
-                    let Some(&rate) = self.last_rates.get(&app) else {
-                        return Vec::new();
-                    };
-                    let conf = ControlMessage::Config { app, mode, rate };
-                    vec![self.envelope_to(app, now_cycle, conf)]
-                } else {
-                    vec![self.envelope_to(app, now_cycle, ControlMessage::Refusal { app })]
-                }
-            }
-            ControlMessage::Termination { .. } => {
-                vec![self.envelope_to(
-                    app,
-                    now_cycle,
-                    ControlMessage::Ack {
+            ControlMessage::Activation { .. } => match slot.map(|s| &self.slots[s]) {
+                // Already admitted: re-send this client's current conf
+                // from the rate cache (always fresh — every membership
+                // change reconfigures and refills it).
+                Some(client) if client.active => {
+                    let rate = client.last_rate?;
+                    let conf = ControlMessage::Config {
                         app,
-                        of_seq: envelope.seq,
-                    },
-                )]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn receive_activation(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let now = SimTime::from_ns(now_cycle as f64);
-        self.log_msg(now, ControlMessage::Activation { app });
-        if self.is_active(app) {
-            // Already active (e.g. re-activation racing a reclamation):
-            // just re-confirm.
-            return self.respond_to_duplicate(
-                Envelope {
-                    from: Endpoint::Client(app),
-                    to: Endpoint::Rm,
-                    seq: 0,
-                    sent_at_cycle: now_cycle,
-                    message: ControlMessage::Activation { app },
-                },
+                        mode: self.mode(),
+                        rate,
+                    };
+                    Some(self.envelope_to(app, now_cycle, conf))
+                }
+                _ => Some(self.envelope_to(app, now_cycle, ControlMessage::Refusal { app })),
+            },
+            ControlMessage::Termination { .. } => Some(self.envelope_to(
+                app,
                 now_cycle,
-            );
+                ControlMessage::Ack {
+                    app,
+                    of_seq: envelope.seq,
+                },
+            )),
+            _ => None,
         }
-        let refusal = |rm: &mut Self| {
-            rm.rejections += 1;
-            vec![rm.envelope_to(app, now_cycle, ControlMessage::Refusal { app })]
-        };
-        if self.check_admissible(app, now_cycle).is_err() {
-            return refusal(self);
-        }
-        self.quarantined.remove(&app); // cooldown served
-        let Some(&application) = self.known.get(&app) else {
-            return refusal(self);
-        };
-        if !self.preapproved {
-            let mut candidate = self.active.clone();
-            candidate.push(application);
-            if self.compute_rates(&candidate).is_none() {
-                return refusal(self);
-            }
-        }
-        self.activate(application);
-        self.mode_changes += 1;
-        self.touch(app, now_cycle);
-        self.reconfigure_envelopes(now_cycle)
     }
 
-    fn receive_termination(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let now = SimTime::from_ns(now_cycle as f64);
-        self.log_msg(now, ControlMessage::Termination { app });
-        if !self.deactivate(app) {
-            return Vec::new();
-        }
-        self.mode_changes += 1;
-        self.departures.push(app);
-        self.release(app);
-        self.reconfigure_envelopes(now_cycle)
-    }
-
-    /// Drops every per-client obligation towards `app` after it leaves
-    /// (termination or reclamation).
-    fn release(&mut self, app: AppId) {
-        self.untouch(app);
-        self.clear_pending_conf(app);
-        self.last_rates.remove(&app);
+    /// Drops every per-client obligation towards the client of slot `s`
+    /// after it leaves (termination or reclamation).
+    fn release(&mut self, s: usize) {
+        self.untouch(s);
+        self.clear_pending_conf(s);
+        let slot = &mut self.slots[s];
+        slot.last_rate = None;
         // The unreachable client is gone; degradation ends with it.
-        self.degraded.remove(&app);
+        if std::mem::take(&mut slot.degraded) {
+            self.degraded -= 1;
+        }
         // A future incarnation of the client starts its sequence numbers
         // over.
-        self.rx.forget(Endpoint::Client(app));
+        slot.rx = SeqWindow::default();
     }
 
     /// The next cycle at which [`poll`](Self::poll) has work: a due
@@ -737,9 +801,8 @@ impl<P: RatePolicy> ResourceManager<P> {
     pub fn next_deadline(&self) -> Option<u64> {
         let retry = self.conf_retry_index.iter().next().map(|&(cycle, _)| cycle);
         let watchdog = self
-            .heartbeat_index
-            .iter()
-            .next()
+            .watch
+            .front()
             .map(|&(heard, _)| heard + self.watchdog.timeout_cycles);
         match (retry, watchdog) {
             (Some(r), Some(w)) => Some(r.min(w)),
@@ -752,7 +815,13 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// exhausted) and runs the heartbeat watchdog, forcibly terminating
     /// clients that have been silent past the timeout. Returns the
     /// envelopes to hand to the control plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now_cycle` is earlier than a cycle already passed to
+    /// `poll` or [`receive_batch`](Self::receive_batch).
     pub fn poll(&mut self, now_cycle: u64) -> Vec<Envelope> {
+        self.advance_clock(now_cycle);
         let mut out = Vec::new();
         // Due retransmissions via the retry index, then processed in
         // ascending client-id order (the historical pending-map order,
@@ -763,61 +832,75 @@ impl<P: RatePolicy> ResourceManager<P> {
             .map(|&(_, app)| app)
             .collect();
         due.sort_unstable();
-        let mut gave_up: Vec<AppId> = Vec::new();
+        let mut gave_up: Vec<usize> = Vec::new();
         for app in due {
-            let p = self.pending_confs.get(&app).expect("indexed conf exists");
+            let s = self
+                .slot(app)
+                .expect("pending confs go to registered clients");
+            let p = *self.slots[s]
+                .pending_conf
+                .as_deref()
+                .expect("indexed conf exists");
             if p.attempts >= self.retry.max_attempts() {
-                gave_up.push(app);
+                gave_up.push(s);
                 continue;
             }
-            let mut next = *p;
+            let mut next = p;
             next.envelope.sent_at_cycle = now_cycle;
             next.attempts += 1;
             next.next_retry_cycle = now_cycle + self.retry.backoff_cycles(next.attempts - 1);
             self.conf_retransmissions += 1;
             out.push(next.envelope);
-            self.set_pending_conf(app, next);
+            self.set_pending_conf(s, next);
         }
-        for app in gave_up {
-            self.clear_pending_conf(app);
-            if self.degraded.is_empty() {
+        for s in gave_up {
+            self.clear_pending_conf(s);
+            if self.degraded == 0 {
                 self.safe_mode_entries += 1;
             }
-            self.degraded.insert(app);
+            if !std::mem::replace(&mut self.slots[s].degraded, true) {
+                self.degraded += 1;
+            }
         }
-        // Watchdog sweep via the heartbeat index: everything heard at or
-        // before `cutoff` has been silent past the timeout. (With no full
-        // timeout elapsed since cycle 0, nothing can have expired.)
+        // Watchdog sweep from the queue's front: every live entry heard
+        // at or before `cutoff` has been silent past the timeout. (With no
+        // full timeout elapsed since cycle 0, nothing can have expired.)
         if let Some(cutoff) = now_cycle.checked_sub(self.watchdog.timeout_cycles) {
-            let mut expired: Vec<AppId> = self
-                .heartbeat_index
-                .range(..=(cutoff, AppId(u32::MAX)))
-                .map(|&(_, app)| app)
-                .collect();
+            let mut expired: Vec<AppId> = Vec::new();
+            while let Some(&(heard, app)) = self.watch.front() {
+                if heard > cutoff {
+                    break;
+                }
+                self.watch.pop_front();
+                if is_live(&self.slots, heard, app) {
+                    expired.push(app);
+                }
+            }
             expired.sort_unstable();
             for app in expired {
                 out.extend(self.reclaim(app, now_cycle));
             }
         }
+        self.settle_watch();
         out
     }
 
     /// Forcibly terminates `app` (presumed dead), redistributing its
     /// bandwidth to the survivors, and quarantines it when it flaps.
     fn reclaim(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let was_active = self.deactivate(app);
-        self.release(app);
+        let s = self.slot(app).expect("watched clients are registered");
+        let was_active = self.deactivate(s);
+        self.release(s);
         if !was_active {
             return Vec::new();
         }
         self.reclamations += 1;
         self.mode_changes += 1;
         self.departures.push(app);
-        let flaps = self.reclaim_counts.entry(app).or_insert(0);
-        *flaps += 1;
-        if *flaps >= self.watchdog.quarantine_threshold {
-            self.quarantined
-                .insert(app, now_cycle + self.watchdog.quarantine_cooldown_cycles);
+        let slot = &mut self.slots[s];
+        slot.reclaims += 1;
+        if slot.reclaims >= self.watchdog.quarantine_threshold {
+            slot.quarantined_until = Some(now_cycle + self.watchdog.quarantine_cooldown_cycles);
         }
         self.log_msg(
             SimTime::from_ns(now_cycle as f64),
@@ -826,46 +909,56 @@ impl<P: RatePolicy> ResourceManager<P> {
         self.reconfigure_envelopes(now_cycle)
     }
 
-    /// Handles a kernel step's worth of delivered envelopes as one batch:
-    /// per-envelope effects (acks, dedup, heartbeats, membership changes)
-    /// are applied in delivery order, but at most **one** mode transition
-    /// and stop/conf round is emitted for the whole batch instead of one
-    /// per membership change. This is what makes a cluster RM's per-step
-    /// work O(batch + round) rather than O(batch × active).
-    ///
-    /// Semantically equivalent to calling [`receive`](Self::receive) per
-    /// envelope when the batch contains at most one membership change;
-    /// with several, intermediate rounds (which the coalesced bundle
+    /// Handles a kernel step's worth of delivered envelopes idempotently,
+    /// returning the envelopes to send in response (acks, stop/conf
+    /// rounds, refusals). Per-envelope effects (acks, dedup, heartbeats,
+    /// membership changes) are applied in delivery order, but at most
+    /// **one** mode transition and stop/conf round is emitted for the
+    /// whole batch instead of one per membership change. This is what
+    /// makes a cluster RM's per-step work O(batch + round) rather than
+    /// O(batch × active). Intermediate rounds (which the coalesced bundle
     /// protocol would supersede within the same step anyway) are elided.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now_cycle` is earlier than a cycle already passed to
+    /// `receive_batch` or [`poll`](Self::poll).
     pub fn receive_batch(&mut self, envelopes: &[Envelope], now_cycle: u64) -> Vec<Envelope> {
+        self.advance_clock(now_cycle);
         let now = SimTime::from_ns(now_cycle as f64);
         let mut out = Vec::new();
         let mut dirty = false;
         for envelope in envelopes {
             let app = envelope.message.app();
-            if self.last_heartbeat.contains_key(&app) {
-                self.touch(app, now_cycle);
+            let slot = self.slot(app);
+            // Any message is proof of life for the watchdog.
+            if let Some(s) = slot.filter(|&s| self.slots[s].heard.is_some()) {
+                self.touch(s, now_cycle);
             }
-            if !self.rx.accept(envelope.from, envelope.seq) {
-                out.extend(self.respond_to_duplicate(*envelope, now_cycle));
+            if !self.accept(envelope, slot) {
+                out.extend(self.respond_to_duplicate(envelope, slot, now_cycle));
                 continue;
             }
             match envelope.message {
                 ControlMessage::Activation { app } => {
                     self.log_msg(now, ControlMessage::Activation { app });
-                    if self.is_active(app) {
-                        out.extend(self.respond_to_duplicate(*envelope, now_cycle));
+                    if slot.is_some_and(|s| self.slots[s].active) {
+                        // Already active (e.g. re-activation racing a
+                        // reclamation): just re-confirm.
+                        out.extend(self.respond_to_duplicate(envelope, slot, now_cycle));
                         continue;
                     }
                     if self.check_admissible(app, now_cycle).is_err() {
                         out.push(self.refuse(app, now_cycle));
                         continue;
                     }
-                    self.quarantined.remove(&app);
-                    let Some(&application) = self.known.get(&app) else {
+                    let Some(s) = slot else {
                         out.push(self.refuse(app, now_cycle));
                         continue;
                     };
+                    // Cooldown served.
+                    self.slots[s].quarantined_until = None;
+                    let application = self.slots[s].app;
                     if !self.preapproved {
                         let mut candidate = self.active.clone();
                         candidate.push(application);
@@ -874,9 +967,9 @@ impl<P: RatePolicy> ResourceManager<P> {
                             continue;
                         }
                     }
-                    self.activate(application);
+                    self.activate(s, application);
                     self.mode_changes += 1;
-                    self.touch(app, now_cycle);
+                    self.touch(s, now_cycle);
                     dirty = true;
                 }
                 ControlMessage::Termination { app } => {
@@ -889,23 +982,28 @@ impl<P: RatePolicy> ResourceManager<P> {
                             of_seq: envelope.seq,
                         },
                     ));
-                    if self.deactivate(app) {
+                    if let Some(s) = slot.filter(|&s| self.deactivate(s)) {
                         self.mode_changes += 1;
                         self.departures.push(app);
-                        self.release(app);
+                        self.release(s);
                         dirty = true;
                     }
                 }
                 ControlMessage::Heartbeat { .. } => {}
-                ControlMessage::Ack { app, of_seq } => {
-                    if self
-                        .pending_confs
-                        .get(&app)
-                        .is_some_and(|p| p.envelope.seq == of_seq)
-                    {
-                        self.clear_pending_conf(app);
+                ControlMessage::Ack { of_seq, .. } => {
+                    // Only the ack of the *current* pending conf clears
+                    // it; a stale ack of a superseded round keeps
+                    // retransmitting.
+                    if let Some(s) = slot.filter(|&s| {
+                        self.slots[s]
+                            .pending_conf
+                            .as_ref()
+                            .is_some_and(|p| p.envelope.seq == of_seq)
+                    }) {
+                        self.clear_pending_conf(s);
                     }
                 }
+                // RM-originated kinds arriving here are protocol noise.
                 ControlMessage::Stop { .. }
                 | ControlMessage::Config { .. }
                 | ControlMessage::Refusal { .. } => {}
@@ -914,6 +1012,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         if dirty {
             out.extend(self.reconfigure_envelopes(now_cycle));
         }
+        self.settle_watch();
         out
     }
 
@@ -932,7 +1031,11 @@ impl<P: RatePolicy> ResourceManager<P> {
 
     /// The currently quarantined client ids, in ascending order.
     pub fn quarantined_ids(&self) -> Vec<AppId> {
-        self.quarantined.keys().copied().collect()
+        self.slots
+            .iter()
+            .filter(|s| s.quarantined_until.is_some())
+            .map(|s| s.app.id)
+            .collect()
     }
 }
 
@@ -940,6 +1043,7 @@ impl<P: RatePolicy> ResourceManager<P> {
 mod tests {
     use super::*;
     use crate::modes::{SymmetricPolicy, WeightedPolicy};
+    use proptest::prelude::*;
 
     fn be(n: u32) -> Application {
         Application::best_effort(AppId(n), n)
@@ -1077,7 +1181,7 @@ mod tests {
                 let app = e.message.app();
                 let ack = client_ack(app.0, ack_seq, e.seq, at);
                 ack_seq += 1;
-                let _ = rm.receive(ack, at);
+                let _ = rm.receive_batch(&[ack], at);
             }
         }
     }
@@ -1085,7 +1189,7 @@ mod tests {
     #[test]
     fn message_driven_admission_emits_stop_conf_round() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 10), 10);
+        let out = rm.receive_batch(&[act(0, 0, 10)], 10);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "stopMsg").count(),
             1
@@ -1096,7 +1200,7 @@ mod tests {
         );
         assert_eq!(rm.mode(), SystemMode(1));
         // Second app: round covers both clients.
-        let out = rm.receive(act(1, 0, 20), 20);
+        let out = rm.receive_batch(&[act(1, 0, 20)], 20);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "confMsg").count(),
             2
@@ -1107,9 +1211,9 @@ mod tests {
     #[test]
     fn duplicate_activation_resends_conf_without_readmission() {
         let mut rm = ft_rm();
-        let _ = rm.receive(act(0, 0, 10), 10);
+        let _ = rm.receive_batch(&[act(0, 0, 10)], 10);
         let changes = rm.mode_changes();
-        let out = rm.receive(act(0, 0, 300), 300); // retransmitted actMsg
+        let out = rm.receive_batch(&[act(0, 0, 300)], 300); // retransmitted actMsg
         assert_eq!(rm.mode_changes(), changes, "no second transition");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].message.name(), "confMsg");
@@ -1119,7 +1223,7 @@ mod tests {
     #[test]
     fn unknown_app_is_refused() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(9, 0, 10), 10);
+        let out = rm.receive_batch(&[act(9, 0, 10)], 10);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert_eq!(rm.rejections(), 1);
@@ -1129,7 +1233,7 @@ mod tests {
     #[test]
     fn conf_retransmits_then_enters_safe_mode() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
         let first_deadline = rm.next_deadline().expect("conf pending");
         assert_eq!(first_deadline, 100);
@@ -1148,7 +1252,7 @@ mod tests {
             rm.check_admissible(AppId(1), next),
             Err(AdmissionError::SafeMode)
         );
-        let out = rm.receive(act(1, 0, next + 1), next + 1);
+        let out = rm.receive_batch(&[act(1, 0, next + 1)], next + 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert_eq!(rm.mode(), SystemMode(1), "previous allocation retained");
         // The ack that finally clears things: watchdog reclaims the dead
@@ -1164,9 +1268,9 @@ mod tests {
     #[test]
     fn watchdog_reclaims_silent_client_and_redistributes() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert_eq!(rm.mode(), SystemMode(2));
         // App 0 heartbeats; app 1 goes silent.
@@ -1177,7 +1281,7 @@ mod tests {
             sent_at_cycle: 800,
             message: ControlMessage::Heartbeat { app: AppId(0) },
         };
-        let _ = rm.receive(hb, 800);
+        let _ = rm.receive_batch(&[hb], 800);
         // At cycle 1010 app 1 (last heard when acking its conf at cycle 6)
         // is past the 1000-cycle timeout; app 0 (heard at 800) is not.
         let out = rm.poll(1_010);
@@ -1199,21 +1303,21 @@ mod tests {
         // Two reclamations of app 0 trip the threshold of 2.
         for round in 0..2u64 {
             let at = round * 3_000;
-            let out = rm.receive(act(0, round * 10, at), at);
+            let out = rm.receive_batch(&[act(0, round * 10, at)], at);
             settle_confs(&mut rm, &out, at + 1);
             let _ = rm.poll(at + 1_001 + 1); // silent past the timeout
         }
         assert_eq!(rm.reclamations(), 2);
         let until = rm.quarantined_until(AppId(0)).expect("quarantined");
         // Refused while quarantined.
-        let out = rm.receive(act(0, 100, until - 1), until - 1);
+        let out = rm.receive_batch(&[act(0, 100, until - 1)], until - 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert!(matches!(
             rm.check_admissible(AppId(0), until - 1),
             Err(AdmissionError::Quarantined { .. })
         ));
         // Served again once the cooldown expires.
-        let out = rm.receive(act(0, 101, until), until);
+        let out = rm.receive_batch(&[act(0, 101, until)], until);
         assert!(out.iter().any(|e| e.message.name() == "confMsg"));
         assert_eq!(rm.mode(), SystemMode(1));
     }
@@ -1221,9 +1325,9 @@ mod tests {
     #[test]
     fn acked_conf_stops_retransmitting() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
-        let _ = rm.receive(client_ack(0, 1, conf.seq, 50), 50);
+        let _ = rm.receive_batch(&[client_ack(0, 1, conf.seq, 50)], 50);
         // Only the watchdog deadline remains.
         assert_eq!(rm.next_deadline(), Some(50 + 1_000));
         assert!(rm.poll(500).is_empty());
@@ -1236,7 +1340,7 @@ mod tests {
         // Admit in descending id order so insertion order differs from
         // id order; none of the confs is ever acked.
         for (i, app) in [3u32, 1, 2, 0].iter().enumerate() {
-            let _ = rm.receive(act(*app, 0, i as u64), i as u64);
+            let _ = rm.receive_batch(&[act(*app, 0, i as u64)], i as u64);
         }
         assert_eq!(rm.pending_conf_count(), 4);
         let out = rm.poll(500);
@@ -1251,11 +1355,11 @@ mod tests {
     #[test]
     fn stale_ack_of_superseded_conf_keeps_current_pending() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let old_conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
         let old_seq = old_conf.seq;
         // A second admission supersedes app 0's pending conf.
-        let out = rm.receive(act(1, 0, 10), 10);
+        let out = rm.receive_batch(&[act(1, 0, 10)], 10);
         let new_seq = out
             .iter()
             .find(|e| e.message.name() == "confMsg" && e.message.app() == AppId(0))
@@ -1263,19 +1367,19 @@ mod tests {
             .seq;
         assert_ne!(old_seq, new_seq);
         // The stale ack must not clear the superseding conf.
-        let _ = rm.receive(client_ack(0, 100, old_seq, 20), 20);
+        let _ = rm.receive_batch(&[client_ack(0, 100, old_seq, 20)], 20);
         assert_eq!(rm.pending_conf_count(), 2);
         // The current ack does.
-        let _ = rm.receive(client_ack(0, 101, new_seq, 30), 30);
+        let _ = rm.receive_batch(&[client_ack(0, 101, new_seq, 30)], 30);
         assert_eq!(rm.pending_conf_count(), 1);
     }
 
     #[test]
     fn active_index_stays_in_sync_across_lifecycle() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert_eq!(rm.active().len(), 2);
         // Instantaneous termination and watchdog reclamation both go
@@ -1286,7 +1390,7 @@ mod tests {
         assert_eq!(rm.reclamations(), 1);
         assert!(rm.active().is_empty());
         // Re-admission after removal works (the index forgot the id).
-        let out = rm.receive(act(0, 10, 6_000), 6_000);
+        let out = rm.receive_batch(&[act(0, 10, 6_000)], 6_000);
         assert!(out.iter().any(|e| e.message.name() == "confMsg"));
         assert_eq!(rm.mode(), SystemMode(1));
     }
@@ -1306,33 +1410,17 @@ mod tests {
             out.iter().filter(|e| e.message.name() == "stopMsg").count(),
             4
         );
-        // The final rates match per-envelope processing.
+        // The final rates match one batch per envelope.
         let mut serial = ft_rm();
         for n in 0..4u32 {
-            let _ = serial.receive(act(n, 0, 10), 10);
+            let _ = serial.receive_batch(&[act(n, 0, 10)], 10);
         }
         assert_eq!(serial.mode(), batched.mode());
-        assert_eq!(serial.last_rates, batched.last_rates);
-    }
-
-    #[test]
-    fn receive_batch_matches_receive_for_single_messages() {
-        let mut a = ft_rm();
-        let mut b = ft_rm();
-        for (i, app) in [2u32, 0, 3].iter().enumerate() {
-            let out_a = a.receive(act(*app, 0, i as u64), i as u64);
-            let out_b = b.receive_batch(&[act(*app, 0, i as u64)], i as u64);
-            assert_eq!(out_a, out_b, "singleton batches are exactly receive()");
-        }
-        // Duplicate and refusal paths agree too.
-        assert_eq!(
-            a.receive(act(2, 0, 50), 50),
-            b.receive_batch(&[act(2, 0, 50)], 50)
-        );
-        assert_eq!(
-            a.receive(act(9, 0, 60), 60),
-            b.receive_batch(&[act(9, 0, 60)], 60)
-        );
+        let told = |rm: &ResourceManager<SymmetricPolicy>| {
+            rm.slots.iter().map(|s| s.last_rate).collect::<Vec<_>>()
+        };
+        assert_eq!(told(&serial), told(&batched));
+        assert!(told(&batched).iter().all(|r| *r == Some(0.25)));
     }
 
     #[test]
@@ -1345,14 +1433,14 @@ mod tests {
             .with_delta_confs(true);
         rm.register(Application::critical(AppId(0), 0, 200));
         rm.register(Application::critical(AppId(1), 1, 300));
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "confMsg").count(),
             1
         );
         // Admitting app 1 leaves app 0's guaranteed 0.2 unchanged: only
         // the newcomer is confirmed.
-        let out = rm.receive(act(1, 0, 10), 10);
+        let out = rm.receive_batch(&[act(1, 0, 10)], 10);
         let confs: Vec<AppId> = out
             .iter()
             .filter(|e| e.message.name() == "confMsg")
@@ -1369,9 +1457,9 @@ mod tests {
     #[test]
     fn departures_are_drained_once() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert!(rm.take_departures().is_empty());
         rm.terminate(AppId(0), SimTime::from_ns(100.0));
@@ -1380,30 +1468,215 @@ mod tests {
         assert!(rm.take_departures().is_empty(), "drained");
     }
 
+    /// The earliest retransmission or watchdog expiry, by scanning every
+    /// slot.
+    fn scanned_deadline<P>(rm: &ResourceManager<P>) -> Option<u64> {
+        rm.slots
+            .iter()
+            .flat_map(|s| {
+                [
+                    s.pending_conf.as_ref().map(|p| p.next_retry_cycle),
+                    s.heard.map(|h| h + rm.watchdog.timeout_cycles),
+                ]
+            })
+            .flatten()
+            .min()
+    }
+
+    /// The slot table's cached counts and indices agree with the slots.
+    fn check_slots<P>(rm: &ResourceManager<P>) -> Result<(), String> {
+        let ids: Vec<AppId> = rm.slots.iter().map(|s| s.app.id).collect();
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!("slots out of id order: {ids:?}"));
+        }
+        let active: Vec<AppId> = rm.active_slots.iter().map(|&s| ids[s as usize]).collect();
+        let listed: Vec<AppId> = rm.active.iter().map(|a| a.id).collect();
+        if active != listed || rm.slots.iter().filter(|s| s.active).count() != listed.len() {
+            return Err(format!("active {listed:?} vs slots {active:?}"));
+        }
+        let pending: BTreeSet<(u64, AppId)> = rm
+            .slots
+            .iter()
+            .filter_map(|s| {
+                s.pending_conf
+                    .as_ref()
+                    .map(|p| (p.next_retry_cycle, s.app.id))
+            })
+            .collect();
+        if pending != rm.conf_retry_index {
+            return Err(format!(
+                "retry index {:?} vs {pending:?}",
+                rm.conf_retry_index
+            ));
+        }
+        let monitored = rm.slots.iter().filter(|s| s.heard.is_some()).count();
+        let degraded = rm.slots.iter().filter(|s| s.degraded).count();
+        if (monitored, degraded) != (rm.monitored, rm.degraded) {
+            return Err(format!(
+                "counts ({}, {}) vs slots ({monitored}, {degraded})",
+                rm.monitored, rm.degraded
+            ));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random act, ack, heartbeat, termination and duplicate envelopes
+        /// plus polls, at non-decreasing cycles, from registered and
+        /// unregistered clients: the watchdog queue's deadline is the
+        /// minimum over the slots, and each poll reclaims exactly the
+        /// clients silent past the timeout, in ascending id order.
+        #[test]
+        fn watchdog_queue_matches_a_scan_of_the_slots(
+            descending in 0u8..2,
+            ops in prop::collection::vec((0u8..6, 0u32..6, 0u64..80), 1..150),
+        ) {
+            let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0)
+                .with_watchdog(WatchdogConfig {
+                    timeout_cycles: 1_000,
+                    quarantine_threshold: 2,
+                    quarantine_cooldown_cycles: 5_000,
+                })
+                .with_retry(RetryPolicy::new(100, 3));
+            // Apps 4 and 5 stay unregistered.
+            let mut order: Vec<u32> = (0..4).collect();
+            if descending == 1 {
+                order.reverse();
+            }
+            for n in order {
+                rm.register(be(n));
+            }
+            let mut now = 0u64;
+            let mut next_seq = [0u64; 6];
+            let mut sent: Vec<Envelope> = Vec::new();
+            for &(kind, app, step) in &ops {
+                // Even steps, so several operations share a cycle, and
+                // now and then a long silence that expires clients.
+                now += if step >= 72 { 600 } else { step / 2 * 2 };
+                let id = AppId(app);
+                let message = match kind {
+                    0 => ControlMessage::Activation { app: id },
+                    1 => ControlMessage::Termination { app: id },
+                    2 => ControlMessage::Heartbeat { app: id },
+                    3 => ControlMessage::Ack {
+                        app: id,
+                        of_seq: rm
+                            .slot(id)
+                            .and_then(|s| rm.slots[s].pending_conf.as_deref())
+                            .map_or(step, |p| p.envelope.seq),
+                    },
+                    4 if !sent.is_empty() => {
+                        let dup = sent[step as usize % sent.len()];
+                        let _ = rm.receive_batch(&[dup], now);
+                        prop_assert_eq!(rm.next_deadline(), scanned_deadline(&rm));
+                        continue;
+                    }
+                    _ => {
+                        let expired: Vec<AppId> = rm
+                            .slots
+                            .iter()
+                            .filter(|s| s.heard.is_some_and(|h| h + 1_000 <= now))
+                            .map(|s| s.app.id)
+                            .collect();
+                        let _ = rm.take_departures();
+                        let _ = rm.poll(now);
+                        prop_assert_eq!(rm.take_departures(), expired);
+                        prop_assert_eq!(rm.next_deadline(), scanned_deadline(&rm));
+                        if let Err(e) = check_slots(&rm) {
+                            prop_assert!(false, "{}", e);
+                        }
+                        continue;
+                    }
+                };
+                let envelope = Envelope {
+                    from: Endpoint::Client(id),
+                    to: Endpoint::Rm,
+                    seq: next_seq[app as usize],
+                    sent_at_cycle: now,
+                    message,
+                };
+                next_seq[app as usize] += 1;
+                sent.push(envelope);
+                let _ = rm.receive_batch(&[envelope], now);
+                prop_assert_eq!(rm.next_deadline(), scanned_deadline(&rm));
+                if let Err(e) = check_slots(&rm) {
+                    prop_assert!(false, "{}", e);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn indices_stay_consistent_with_maps() {
+    fn watchdog_expires_exactly_at_the_timeout() {
         let mut rm = ft_rm();
-        for n in 0..4u32 {
-            let _ = rm.receive(act(n, 0, n as u64), n as u64);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
+        settle_confs(&mut rm, &out, 10);
+        assert_eq!(rm.next_deadline(), Some(1_010));
+        let _ = rm.poll(1_009);
+        assert_eq!(rm.reclamations(), 0, "one cycle short of the timeout");
+        let _ = rm.poll(1_010);
+        assert_eq!(rm.reclamations(), 1);
+        assert_eq!(rm.next_deadline(), None);
+    }
+
+    #[test]
+    fn watchdog_queue_stays_bounded_without_polls() {
+        let mut rm = ft_rm();
+        let out = rm.receive_batch(&[act(0, 0, 0), act(1, 0, 0)], 0);
+        settle_confs(&mut rm, &out, 1);
+        // App 0 stays silent, so its live entry pins the queue's front
+        // while app 1's superseded heartbeats pile up behind it.
+        let app = AppId(1);
+        for cycle in 2..500u64 {
+            let hb = Envelope {
+                from: Endpoint::Client(app),
+                to: Endpoint::Rm,
+                seq: cycle,
+                sent_at_cycle: cycle,
+                message: ControlMessage::Heartbeat { app },
+            };
+            let _ = rm.receive_batch(&[hb], cycle);
+            // Stale entries are compacted away, live ones kept.
+            assert!(rm.watch.len() <= 4 * rm.monitored + 65);
+            assert_eq!(rm.next_deadline(), Some(1 + 1_000));
         }
-        let _ = rm.poll(500); // retransmit sweep reindexes retries
-        rm.terminate(AppId(2), SimTime::from_ns(600.0));
-        let _ = rm.poll(2_000); // watchdog reclaims the rest
-        assert_eq!(rm.pending_confs.len(), rm.conf_retry_index.len());
-        assert_eq!(rm.last_heartbeat.len(), rm.heartbeat_index.len());
-        for (&app, p) in &rm.pending_confs {
-            assert!(rm.conf_retry_index.contains(&(p.next_retry_cycle, app)));
-        }
-        for (&app, &heard) in &rm.last_heartbeat {
-            assert!(rm.heartbeat_index.contains(&(heard, app)));
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RM clock went backwards: cycle 99 after cycle 100")]
+    fn decreasing_cycle_is_refused() {
+        let mut rm = ft_rm();
+        let _ = rm.receive_batch(&[act(0, 0, 100)], 100);
+        // The watchdog queue is ordered by cycle: an earlier cycle would
+        // silently corrupt it, so the RM refuses it outright.
+        let _ = rm.poll(99);
+    }
+
+    #[test]
+    fn registration_in_any_order_keeps_slots_sorted() {
+        let mut rm = ft_rm();
+        let _ = rm.receive_batch(&[act(2, 0, 0)], 0);
+        let out = rm.receive_batch(&[act(7, 0, 1)], 1);
+        assert_eq!(out[0].message.name(), "rejMsg", "unregistered");
+        rm.register(be(7));
+        rm.register(Application::best_effort(AppId(1), 42)); // re-registration
+        rm.register(be(5)); // inserted below 7, above the active app 2
+        assert_eq!(rm.known_app(AppId(1)).map(|a| a.node), Some(42));
+        check_slots(&rm).expect("consistent");
+        let out = rm.receive_batch(&[act(5, 0, 2), act(7, 1, 2)], 2);
+        assert_eq!(
+            out.iter().filter(|e| e.message.name() == "confMsg").count(),
+            3
+        );
+        assert_eq!(rm.mode(), SystemMode(3));
+        check_slots(&rm).expect("consistent");
     }
 
     #[test]
     fn logging_off_keeps_counters_but_not_records() {
         let mut rm = ft_rm();
         rm.set_logging(false);
-        let _ = rm.receive(act(0, 0, 10), 10);
+        let _ = rm.receive_batch(&[act(0, 0, 10)], 10);
         assert_eq!(rm.log().count("actMsg"), 0, "no records when disabled");
         assert_eq!(rm.mode(), SystemMode(1), "behaviour unchanged");
         assert_eq!(rm.mode_changes(), 1);

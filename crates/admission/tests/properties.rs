@@ -201,7 +201,7 @@ proptest! {
                 sent_at_cycle: now,
                 message,
             };
-            let _ = rm.receive(envelope, now);
+            let _ = rm.receive_batch(&[envelope], now);
             let ids: Vec<AppId> = rm.active().iter().map(|a| a.id).collect();
             let unique: std::collections::BTreeSet<AppId> = ids.iter().copied().collect();
             prop_assert_eq!(ids.len(), unique.len(), "double admission");
