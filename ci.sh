@@ -54,14 +54,15 @@ cargo run -q -p autoplat-bench --bin conformance -- \
     --export-json "$SMOKE_DIR/conformance_reshard.json" >/dev/null
 cmp "$SMOKE_DIR/conformance.json" "$SMOKE_DIR/conformance_reshard.json"
 
-echo "== per-family conformance (memguard/dpq/perbank/diff/fleet sweeps + shard determinism) =="
-# memguard and perbank share one regulator replay (MemGuard keyed by
-# core or by bank), so each gets its own export, reshard cmp and schema
-# gate. The diff family also exports cross-arbiter tightness/throughput
-# observations as histograms; the reshard cmp proves those merge
-# byte-identically for any shard count. The fleet family runs the
-# flat-RM-vs-hierarchy differential under seeded faults.
-for fam in memguard dpq perbank diff fleet; do
+echo "== per-family conformance (dram/memguard/dpq/perbank/diff/fleet sweeps + shard determinism) =="
+# dram and dpq run the two arbitration policies of one controller
+# driver, and memguard and perbank share one regulator replay (MemGuard
+# keyed by core or by bank), so each gets its own export, reshard cmp
+# and schema gate. The diff family also exports cross-arbiter
+# tightness/throughput observations as histograms; the reshard cmp
+# proves those merge byte-identically for any shard count. The fleet
+# family runs the flat-RM-vs-hierarchy differential under seeded faults.
+for fam in dram memguard dpq perbank diff fleet; do
     cargo run -q -p autoplat-bench --bin conformance -- \
         --family "$fam" --cases "${CONFORMANCE_CASES:-5}" --seed 7 --shards 4 \
         --export-json "$SMOKE_DIR/conformance_$fam.json" >/dev/null

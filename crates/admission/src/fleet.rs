@@ -40,7 +40,9 @@ use crate::app::{AppId, Application, Importance};
 use crate::client::RetryPolicy;
 use crate::control_plane::{BundlePlane, ControlPlane};
 use crate::modes::WeightedPolicy;
-use crate::protocol::{BundleFrame, ClusterId, ControlMessage, Endpoint, Envelope, RootBundle};
+use crate::protocol::{
+    BundleFrame, ClusterId, ControlMessage, Endpoint, Envelope, RootBundle, UNSEQUENCED_HEARTBEAT,
+};
 use crate::rm::cluster::ClusterRm;
 use crate::rm::root::RootArbiter;
 use crate::rm::{ResourceManager, WatchdogConfig};
@@ -68,12 +70,6 @@ fn cycle_at(cycle: u64) -> SimTime {
 
 /// Token-bucket burst every fleet policy hands out.
 const BURST: f64 = 8.0;
-
-/// The sequence number every heartbeat reuses. Heartbeats are idempotent
-/// liveness beacons — the RM touches the watchdog *before* duplicate
-/// suppression — so reusing one seq keeps the RM's per-peer receive
-/// window O(1) instead of O(heartbeats sent) at fleet scale.
-const HEARTBEAT_SEQ: u64 = u64::MAX;
 
 /// Fleet scenario parameters.
 #[derive(Debug, Clone)]
@@ -360,7 +356,7 @@ fn heartbeat(id: u32, now: u64) -> Envelope {
     Envelope {
         from: Endpoint::Client(AppId(id)),
         to: Endpoint::Rm,
-        seq: HEARTBEAT_SEQ,
+        seq: UNSEQUENCED_HEARTBEAT,
         sent_at_cycle: now,
         message: ControlMessage::Heartbeat { app: AppId(id) },
     }

@@ -211,6 +211,15 @@ pub struct Envelope {
     pub message: ControlMessage,
 }
 
+/// The sequence number of an unsequenced heartbeat.
+///
+/// Heartbeats are idempotent liveness beacons, so a sender may send all
+/// of them under this one number. A receiver treats it as always fresh:
+/// it neither records it in the peer's receive window nor counts it as a
+/// duplicate. The window then stays O(1) instead of O(heartbeats sent),
+/// and the duplicate counter still counts only real duplicate deliveries.
+pub(crate) const UNSEQUENCED_HEARTBEAT: u64 = u64::MAX;
+
 /// The sequence numbers accepted from one peer: every number below
 /// `floor`, plus the sorted `above` list.
 ///

@@ -42,7 +42,9 @@ use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
 use crate::error::{check_latency, AdmissionError};
 use crate::modes::{RatePolicy, SystemMode};
-use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState, SeqWindow};
+use crate::protocol::{
+    ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState, SeqWindow, UNSEQUENCED_HEARTBEAT,
+};
 
 /// Watchdog and degradation parameters for the message-driven RM.
 ///
@@ -726,8 +728,14 @@ impl<P: RatePolicy> ResourceManager<P> {
     }
 
     /// Records `envelope` in its sender's receive window: `true` when it
-    /// is fresh. `slot` is the slot of the application it concerns.
+    /// is fresh. `slot` is the slot of the application it concerns. An
+    /// unsequenced heartbeat is always fresh and is never recorded.
     fn accept(&mut self, envelope: &Envelope, slot: Option<usize>) -> bool {
+        if envelope.seq == UNSEQUENCED_HEARTBEAT
+            && matches!(envelope.message, ControlMessage::Heartbeat { .. })
+        {
+            return true;
+        }
         let sender = match envelope.from {
             Endpoint::Client(c) if c == envelope.message.app() => slot,
             Endpoint::Client(c) => self.slot(c),
@@ -1617,6 +1625,33 @@ mod tests {
         let _ = rm.poll(1_010);
         assert_eq!(rm.reclamations(), 1);
         assert_eq!(rm.next_deadline(), None);
+    }
+
+    #[test]
+    fn unsequenced_heartbeats_are_never_duplicates() {
+        let mut rm = ft_rm();
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
+        settle_confs(&mut rm, &out, 10);
+        let app = AppId(0);
+        for cycle in [500, 900, 1_400] {
+            let hb = Envelope {
+                from: Endpoint::Client(app),
+                to: Endpoint::Rm,
+                seq: UNSEQUENCED_HEARTBEAT,
+                sent_at_cycle: cycle,
+                message: ControlMessage::Heartbeat { app },
+            };
+            let _ = rm.receive_batch(&[hb], cycle);
+            // Each one still feeds the watchdog.
+            assert_eq!(rm.next_deadline(), Some(cycle + 1_000));
+        }
+        assert_eq!(rm.duplicates_suppressed(), 0);
+        let _ = rm.poll(2_399);
+        assert_eq!(rm.reclamations(), 0, "the last heartbeat kept it alive");
+        // A duplicated ack is still a duplicate.
+        let ack = client_ack(0, 7, 0, 2_399);
+        let _ = rm.receive_batch(&[ack, ack], 2_399);
+        assert_eq!(rm.duplicates_suppressed(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `campaign` — the design-space sweep reproducing the paper's
 //! interference-variation claim as a measured distribution.
 //!
-//! Sweeps a seeded grid (arbiter policy × mesh topology × task set ×
-//! MemGuard budgets × control-fault plan), measuring every point's
+//! Sweeps a seeded grid (mesh topology × task set × MemGuard budgets ×
+//! control-fault plan, crossed with an arbiter axis that only picks the
+//! point's conformance family), measuring every point's
 //! loaded-vs-solo slowdown and WCD-bound tightness, and reduces the
 //! outcomes into one byte-deterministic `autoplat.metrics.v1` export
 //! (`BENCH_campaign.json`). The report is identical for any `--workers`

@@ -5,10 +5,11 @@
 //! interference varies execution time by up to ~8× across platform
 //! configurations. One `CoSim` run measures one configuration; this
 //! crate turns the claim into a measured **distribution** by sweeping a
-//! seeded grid — DRAM arbiter policy × NoC topology × task set ×
-//! MemGuard budgets × control-plane fault plan — and reducing every
-//! point's raw outcome into a single byte-deterministic
-//! `autoplat.metrics.v1` report.
+//! seeded grid — NoC topology × task set × MemGuard budgets ×
+//! control-plane fault plan, crossed with an arbiter axis that only
+//! picks each point's conformance family (`CoSim` always uses the
+//! in-order `DramChannel`) — and reducing every point's raw outcome into
+//! a single byte-deterministic `autoplat.metrics.v1` report.
 //!
 //! The architecture is a small map-reduce:
 //!

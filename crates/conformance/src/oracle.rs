@@ -261,15 +261,7 @@ impl Oracle {
         // Soundness: every completion within the bound at its recorded
         // admission depth (scaled by the falsifiability knob).
         for c in &out.completions {
-            let depth = match out.depth_of(c.request.id) {
-                Some(d) => d,
-                None => {
-                    return violation(
-                        "dpq.depth_recorded",
-                        format!("request {} has no admission depth", c.request.id),
-                    )
-                }
-            };
+            let depth = c.depth;
             let bound = match dpq_upper_bound(&DpqParams {
                 timing: timing.clone(),
                 masters: s.masters,
@@ -467,15 +459,7 @@ impl Oracle {
         }
         let mut probe_depth = 0u32;
         for c in &dpq_out.completions {
-            let depth = match dpq_out.depth_of(c.request.id) {
-                Some(d) => d,
-                None => {
-                    return violation(
-                        "diff.dpq_depth_recorded",
-                        format!("request {} has no admission depth", c.request.id),
-                    )
-                }
-            };
+            let depth = c.depth;
             if c.request.id == probe_id {
                 probe_depth = depth;
             }

@@ -1,7 +1,23 @@
-//! Cycle-approximate FR-FCFS DRAM controller simulator (Fig. 4 / Fig. 5).
+//! Cycle-approximate DRAM controller simulation (Fig. 4 / Fig. 5): one
+//! driver and two arbitration policies.
 //!
-//! The simulator reproduces the controller behaviour the WCD analysis
-//! abstracts:
+//! The driver is one kernel [`Process`] that owns everything the
+//! controllers share:
+//!
+//! * the pending arrivals, sorted by `(arrival, id)`, and their
+//!   validation;
+//! * admission with **back-pressure**: arrivals enter the policy's queues
+//!   in order, and admission stops at the first request whose queue is
+//!   full until progress frees space;
+//! * periodic **refresh** every `tREFI`, costing `tRFC`, issued between
+//!   accesses (also inside idle gaps) and closing all rows;
+//! * per-bank row-buffer state with the `tRC` activate-to-activate
+//!   constraint;
+//! * latency, completion, trace and `dram.*` metrics accounting, into one
+//!   [`SimOutcome`].
+//!
+//! A policy keeps only its queues and its next decision. The FR-FCFS
+//! policy of this module is the controller the WCD analysis abstracts:
 //!
 //! * separate **read and write queues** per Fig. 4;
 //! * **first-ready** scheduling: row hits are promoted to the front of the
@@ -9,12 +25,10 @@
 //!   promotions to avoid starving misses;
 //! * **watermark write batching** per Fig. 5: switch to write mode when
 //!   the write queue reaches `W_high` (or `W_low` with an empty read
-//!   queue); switch back after `N_wd` writes when reads wait (or when the
-//!   write queue drains below `max(W_low − N_wd, 0)`);
-//! * periodic **refresh** every `tREFI`, costing `tRFC`, issued after the
-//!   in-flight request completes and closing all rows;
-//! * per-bank row-buffer state with the `tRC` activate-to-activate
-//!   constraint.
+//!   queue, or any depth once no further arrivals can come); switch back
+//!   when the write queue empties, or after `N_wd` writes when reads wait.
+//!
+//! The DPQ policy lives in [`crate::dpq`].
 //!
 //! Timing is approximated at request granularity (a hit occupies the data
 //! bus for `tBurst`; a miss pays the precharge→activate→CAS pipeline and
@@ -24,21 +38,12 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use autoplat_sim::engine::{Engine, EventSink, Process};
-use autoplat_sim::metrics::{MetricsRegistry, Span};
+use autoplat_sim::metrics::MetricsRegistry;
 use autoplat_sim::{SimDuration, SimTime, Summary, Trace};
 
-use crate::request::MasterId;
-
 use crate::config::ControllerConfig;
-use crate::request::{Completion, Request, RequestKind};
+use crate::request::{Completion, MasterId, Request, RequestKind};
 use crate::timing::DramTiming;
-
-/// Serving direction of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Read,
-    Write,
-}
 
 /// Events driving the controller on the shared kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,17 +52,10 @@ pub enum DramEvent {
     Kick,
 }
 
-#[derive(Debug, Clone)]
-struct Bank {
-    open_row: Option<u64>,
-    /// Earliest time the next activate to this bank may start (tRC rule).
-    ready_at: SimTime,
-}
-
 /// Aggregate outcome of one controller simulation.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
-    /// Every served request with its completion time.
+    /// Every served request with its completion time, in service order.
     pub completions: Vec<Completion>,
     /// Read latency statistics (ns).
     pub read_latency: Summary,
@@ -75,7 +73,7 @@ pub struct SimOutcome {
     pub mode_switches: u64,
     /// Time the last request completed.
     pub finished_at: SimTime,
-    /// Behavioural trace (mode switches, refreshes) when enabled.
+    /// Behavioural trace (grants, mode switches, refreshes) when enabled.
     pub trace: Trace,
 }
 
@@ -94,6 +92,412 @@ impl SimOutcome {
     /// served.
     pub fn max_read_latency_ns(&self) -> Option<f64> {
         self.read_latency.max()
+    }
+
+    /// The completion record for request `id`, if it was served.
+    pub fn completion_of(&self, id: u64) -> Option<&Completion> {
+        self.completions.iter().find(|c| c.request.id == id)
+    }
+
+    /// The admission depth of request `id` ([`Completion::depth`]), if it
+    /// was served.
+    pub fn depth_of(&self, id: u64) -> Option<u32> {
+        self.completion_of(id).map(|c| c.depth)
+    }
+}
+
+/// Row-buffer state of one bank.
+#[derive(Debug, Clone)]
+pub(crate) struct Bank {
+    pub(crate) open_row: Option<u64>,
+    /// Earliest time the next activate to this bank may start (tRC rule).
+    ready_at: SimTime,
+}
+
+/// A queued request with its admission depth.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    pub(crate) req: Request,
+    pub(crate) depth: u32,
+}
+
+/// A policy's next step, executed by the driver.
+pub(crate) enum Decision {
+    /// Turn the bus around: spend `penalty_ns`, count a mode switch and
+    /// trace `tag` with the write-queue depth.
+    Switch {
+        penalty_ns: f64,
+        tag: &'static str,
+        write_depth: usize,
+    },
+    /// Nothing to serve until the next arrival or refresh.
+    Wait,
+    /// Serve `queued`, as a row hit when `hit` (a miss pays the
+    /// precharge→activate→CAS pipeline).
+    Serve { queued: Queued, hit: bool },
+}
+
+/// An arbitration policy: its request queues and its next decision.
+pub(crate) trait Arbiter {
+    /// Queues `req` with its admission depth (1-based, counting itself),
+    /// or returns `false` when its queue is full.
+    fn admit(&mut self, req: Request) -> bool;
+
+    /// True when no request is queued.
+    fn is_empty(&self) -> bool;
+
+    /// Picks the next step for a non-empty queue set; `more_arrivals` says
+    /// whether requests are still pending admission.
+    fn decide(&mut self, banks: &[Bank], more_arrivals: bool) -> Decision;
+
+    /// Samples the policy's queue depths after each serve.
+    fn observe(&self, _metrics: &mut MetricsRegistry) {}
+}
+
+/// Runs `workload` to completion under `policy` on `banks` banks.
+///
+/// # Panics
+///
+/// Panics if any request addresses a bank `>= banks`.
+pub(crate) fn simulate<A: Arbiter>(
+    timing: &DramTiming,
+    banks: u32,
+    policy: A,
+    workload: impl IntoIterator<Item = Request>,
+    trace_enabled: bool,
+    metrics: Option<&mut MetricsRegistry>,
+) -> SimOutcome {
+    let mut pending: Vec<Request> = workload.into_iter().collect();
+    for r in &pending {
+        assert!(
+            r.bank < banks,
+            "request {} targets bad bank {}",
+            r.id,
+            r.bank
+        );
+    }
+    pending.sort_by_key(|r| (r.arrival, r.id));
+    let mut run = Run {
+        timing,
+        policy,
+        metrics,
+        pending: pending.into(),
+        banks: vec![
+            Bank {
+                open_row: None,
+                ready_at: SimTime::ZERO,
+            };
+            banks as usize
+        ],
+        next_refresh: SimTime::ZERO + SimDuration::from_ns(timing.t_refi),
+        out: SimOutcome {
+            completions: Vec::new(),
+            read_latency: Summary::new(),
+            write_latency: Summary::new(),
+            read_latency_by_master: BTreeMap::new(),
+            row_hits: 0,
+            row_misses: 0,
+            refreshes: 0,
+            mode_switches: 0,
+            finished_at: SimTime::ZERO,
+            trace: if trace_enabled {
+                Trace::enabled()
+            } else {
+                Trace::new()
+            },
+        },
+    };
+
+    // Drive the state machine on the shared kernel: every `Kick` executes
+    // one decision (admit / refresh / policy step) and re-arms itself at
+    // the instant the controller next makes progress.
+    let mut engine = Engine::new();
+    engine.schedule_at(SimTime::ZERO, DramEvent::Kick);
+    engine.run(&mut run);
+
+    let out = run.out;
+    if let Some(m) = run.metrics {
+        m.counter_add("dram.requests_served", out.completions.len() as u64);
+        m.counter_add("dram.row_hits", out.row_hits);
+        m.counter_add("dram.row_misses", out.row_misses);
+        m.counter_add("dram.refreshes", out.refreshes);
+        m.counter_add("dram.mode_switches", out.mode_switches);
+        m.gauge_set("dram.hit_rate", out.hit_rate());
+        m.gauge_set("dram.finished_at_ns", out.finished_at.as_ns());
+    }
+    out
+}
+
+/// One in-flight controller simulation as a kernel [`Process`].
+///
+/// Each delivered [`DramEvent::Kick`] runs one step at the fire time.
+/// Every step that advances time (refresh, mode-switch penalty, serve,
+/// idle wait) schedules the follow-up `Kick` at that instant and returns,
+/// so exactly one event is ever pending and the run drains when the
+/// workload completes.
+struct Run<'a, A> {
+    timing: &'a DramTiming,
+    policy: A,
+    metrics: Option<&'a mut MetricsRegistry>,
+    pending: VecDeque<Request>,
+    banks: Vec<Bank>,
+    next_refresh: SimTime,
+    out: SimOutcome,
+}
+
+impl<A: Arbiter> Run<'_, A> {
+    /// Performs one refresh starting at `start` and returns its end.
+    fn refresh(&mut self, start: SimTime) -> SimTime {
+        let end = start + SimDuration::from_ns(self.timing.t_rfc);
+        for b in &mut self.banks {
+            b.open_row = None;
+        }
+        self.out.refreshes += 1;
+        self.out.trace.record(end, "dram", "refresh", None);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.observe("dram.refresh_stall_ns", end.saturating_since(start).as_ns());
+        }
+        self.next_refresh += SimDuration::from_ns(self.timing.t_refi);
+        end
+    }
+
+    /// Serves `queued` at `now` and returns its completion time.
+    fn serve(&mut self, now: SimTime, Queued { req, depth }: Queued, hit: bool) -> SimTime {
+        let t = self.timing;
+        let bank = &mut self.banks[req.bank as usize];
+        let (begin, finished) = if hit {
+            self.out.row_hits += 1;
+            (now, now + SimDuration::from_ns(t.t_burst))
+        } else {
+            self.out.row_misses += 1;
+            // Activate cannot start before the bank's tRC window elapses;
+            // the precharge+activate+CAS pipeline follows (CWL
+            // approximated by CL for writes).
+            let begin = now.max(bank.ready_at);
+            // The activate issues at `begin + tRP`; the next activate to
+            // this bank must trail it by tRC, so the next miss's precharge
+            // may start at `begin + tRP + tRAS` (= `begin + tRC`).
+            // Back-to-back same-bank misses are therefore spaced by
+            // `max(tRC, pipeline)`, which is what
+            // [`DramTiming::read_miss_cost`] models.
+            bank.ready_at = begin + SimDuration::from_ns(t.t_rp + t.t_ras);
+            bank.open_row = Some(req.row);
+            (
+                begin,
+                begin + SimDuration::from_ns(t.t_rp + t.t_rcd + t.t_cl + t.t_burst),
+            )
+        };
+        let lat = finished.saturating_since(req.arrival).as_ns();
+        let name = match req.kind {
+            RequestKind::Read => {
+                self.out.read_latency.record(lat);
+                self.out
+                    .read_latency_by_master
+                    .entry(req.master)
+                    .or_default()
+                    .record(lat);
+                "dram.read_latency_ns"
+            }
+            RequestKind::Write => {
+                self.out.write_latency.record(lat);
+                "dram.write_latency_ns"
+            }
+        };
+        if let Some(m) = self.metrics.as_deref_mut() {
+            // Depths *after* dequeuing: what the next arrival sees.
+            self.policy.observe(m);
+            m.observe(name, lat);
+        }
+        self.out
+            .trace
+            .record(begin, "dram", "grant", Some(i64::from(req.master.0)));
+        self.out.completions.push(Completion {
+            request: req,
+            finished,
+            row_hit: hit,
+            depth,
+        });
+        finished
+    }
+}
+
+impl<A: Arbiter> Process for Run<'_, A> {
+    type Event = DramEvent;
+
+    fn handle(&mut self, _event: DramEvent, sink: &mut dyn EventSink<DramEvent>) {
+        let mut now = sink.now();
+        self.out.finished_at = now;
+
+        // Admit arrivals up to `now`; a full queue stalls the rest
+        // (back-pressure) until progress frees space.
+        while let Some(&front) = self.pending.front() {
+            if front.arrival > now || !self.policy.admit(front) {
+                break;
+            }
+            self.pending.pop_front();
+        }
+
+        if self.policy.is_empty() {
+            let Some(next) = self.pending.front() else {
+                return; // workload complete: let the engine drain
+            };
+            // Idle: jump to the next arrival, serving the refreshes that
+            // fall inside the gap.
+            let arrival = next.arrival;
+            while self.next_refresh <= arrival {
+                now = self.refresh(self.next_refresh.max(now));
+            }
+            sink.schedule_at(now.max(arrival), DramEvent::Kick);
+            return;
+        }
+
+        // Refresh: highest priority once the timer has expired.
+        if now >= self.next_refresh {
+            let end = self.refresh(now);
+            sink.schedule_at(end, DramEvent::Kick);
+            return;
+        }
+
+        let wake = match self.policy.decide(&self.banks, !self.pending.is_empty()) {
+            Decision::Switch {
+                penalty_ns,
+                tag,
+                write_depth,
+            } => {
+                self.out.mode_switches += 1;
+                now += SimDuration::from_ns(penalty_ns);
+                self.out
+                    .trace
+                    .record(now, "dram", tag, Some(write_depth as i64));
+                now
+            }
+            Decision::Wait => self
+                .pending
+                .front()
+                .map_or(SimTime::MAX, |r| r.arrival)
+                .min(self.next_refresh),
+            Decision::Serve { queued, hit } => self.serve(now, queued, hit),
+        };
+        sink.schedule_at(wake, DramEvent::Kick);
+    }
+
+    fn tag(&self, _event: &DramEvent) -> &'static str {
+        "dram.kick"
+    }
+}
+
+/// Serving direction of the FR-FCFS policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Read,
+    Write,
+}
+
+/// The FR-FCFS policy: read and write queues, first-ready promotion under
+/// `N_cap` and watermark mode switches.
+struct FrFcfs<'a> {
+    timing: &'a DramTiming,
+    cfg: &'a ControllerConfig,
+    mode: Mode,
+    read_q: VecDeque<Queued>,
+    write_q: VecDeque<Queued>,
+    promoted_hits: u32,
+    batch_served: u32,
+}
+
+impl FrFcfs<'_> {
+    fn switch(&mut self, to: Mode) -> Decision {
+        self.mode = to;
+        let t = self.timing;
+        let (penalty_ns, tag) = match to {
+            Mode::Write => {
+                self.batch_served = 0;
+                (t.t_rtw, "switch-to-write")
+            }
+            Mode::Read => {
+                self.promoted_hits = 0;
+                (t.t_wr + t.t_wtr + t.t_cl, "switch-to-read")
+            }
+        };
+        Decision::Switch {
+            penalty_ns,
+            tag,
+            write_depth: self.write_q.len(),
+        }
+    }
+}
+
+impl Arbiter for FrFcfs<'_> {
+    fn admit(&mut self, req: Request) -> bool {
+        let (queue, cap) = match req.kind {
+            RequestKind::Read => (&mut self.read_q, self.cfg.read_queue_capacity),
+            RequestKind::Write => (&mut self.write_q, self.cfg.write_queue_capacity),
+        };
+        if queue.len() >= cap {
+            return false;
+        }
+        let depth = queue.len() as u32 + 1;
+        queue.push_back(Queued { req, depth });
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        self.read_q.is_empty() && self.write_q.is_empty()
+    }
+
+    fn decide(&mut self, banks: &[Bank], more_arrivals: bool) -> Decision {
+        let cfg = self.cfg;
+        let is_open = |r: &Request| banks[r.bank as usize].open_row == Some(r.row);
+        // Watermark policy (Fig. 5). Once no arrival can lift the write
+        // queue to `W_low`, an empty read queue drains the writes rather
+        // than deadlock.
+        match self.mode {
+            Mode::Read => {
+                let go_write = self.write_q.len() >= cfg.w_high as usize
+                    || (self.read_q.is_empty()
+                        && (self.write_q.len() >= cfg.w_low as usize || !more_arrivals));
+                if go_write && !self.write_q.is_empty() {
+                    return self.switch(Mode::Write);
+                }
+                // Nothing to read and the watermark keeps us out of write
+                // mode: wait for the next arrival or refresh.
+                if self.read_q.is_empty() {
+                    return Decision::Wait;
+                }
+                // First-ready: prefer the oldest row hit while under the
+                // promotion cap.
+                let idx = match self.read_q.iter().position(|q| is_open(&q.req)) {
+                    Some(i) if self.promoted_hits < cfg.n_cap || i == 0 => i,
+                    _ => 0,
+                };
+                let queued = self.read_q.remove(idx).expect("index in range");
+                let hit = is_open(&queued.req);
+                if idx > 0 {
+                    self.promoted_hits += 1; // only a hit is ever promoted
+                } else if !hit {
+                    self.promoted_hits = 0;
+                }
+                Decision::Serve { queued, hit }
+            }
+            Mode::Write => {
+                let go_read = self.write_q.is_empty()
+                    || (!self.read_q.is_empty() && self.batch_served >= cfg.n_wd);
+                if go_read {
+                    return self.switch(Mode::Read);
+                }
+                let queued = self.write_q.pop_front().expect("write mode implies writes");
+                self.batch_served += 1;
+                Decision::Serve {
+                    hit: is_open(&queued.req),
+                    queued,
+                }
+            }
+        }
+    }
+
+    fn observe(&self, metrics: &mut MetricsRegistry) {
+        metrics.observe("dram.read_queue_depth", self.read_q.len() as f64);
+        metrics.observe("dram.write_queue_depth", self.write_q.len() as f64);
     }
 }
 
@@ -178,7 +582,7 @@ impl FrFcfsController {
     ///   `dram.row_misses`, `dram.refreshes`, `dram.mode_switches`;
     /// * histograms — `dram.read_latency_ns`, `dram.write_latency_ns`,
     ///   `dram.read_queue_depth`, `dram.write_queue_depth` (sampled at
-    ///   every serve), `dram.refresh_stall_ns` (span over each refresh);
+    ///   every serve), `dram.refresh_stall_ns` (one sample per refresh);
     /// * gauges — `dram.hit_rate`, `dram.finished_at_ns`.
     pub fn simulate_with_metrics<I>(
         &self,
@@ -201,358 +605,23 @@ impl FrFcfsController {
     where
         I: IntoIterator<Item = Request>,
     {
-        let pending: VecDeque<Request> = {
-            let mut v: Vec<Request> = workload.into_iter().collect();
-            for r in &v {
-                assert!(
-                    r.bank < self.banks,
-                    "request {} targets bad bank {}",
-                    r.id,
-                    r.bank
-                );
-            }
-            v.sort_by_key(|r| (r.arrival, r.id));
-            v.into()
-        };
-        let trace = if trace_enabled {
-            Trace::enabled()
-        } else {
-            Trace::new()
-        };
-
-        let mut state = Run {
+        let policy = FrFcfs {
             timing: &self.timing,
             cfg: &self.config,
-            trace,
-            metrics,
-            pending,
             mode: Mode::Read,
-            banks: (0..self.banks)
-                .map(|_| Bank {
-                    open_row: None,
-                    ready_at: SimTime::ZERO,
-                })
-                .collect(),
             read_q: VecDeque::new(),
             write_q: VecDeque::new(),
             promoted_hits: 0,
             batch_served: 0,
-            next_refresh: SimTime::ZERO + SimDuration::from_ns(self.timing.t_refi),
-            completions: Vec::new(),
-            read_latency: Summary::new(),
-            write_latency: Summary::new(),
-            read_latency_by_master: BTreeMap::new(),
-            row_hits: 0,
-            row_misses: 0,
-            refreshes: 0,
-            mode_switches: 0,
-            finished_at: SimTime::ZERO,
         };
-
-        // Drive the state machine on the shared kernel: every `Kick`
-        // executes one decision (admit / refresh / mode switch / serve) and
-        // re-arms itself at the instant the controller next makes progress.
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::ZERO, DramEvent::Kick);
-        engine.run(&mut state);
-
-        let Run {
-            trace,
+        simulate(
+            &self.timing,
+            self.banks,
+            policy,
+            workload,
+            trace_enabled,
             metrics,
-            completions,
-            read_latency,
-            write_latency,
-            read_latency_by_master,
-            row_hits,
-            row_misses,
-            refreshes,
-            mode_switches,
-            finished_at,
-            ..
-        } = state;
-
-        let outcome = SimOutcome {
-            completions,
-            read_latency,
-            write_latency,
-            read_latency_by_master,
-            row_hits,
-            row_misses,
-            refreshes,
-            mode_switches,
-            finished_at,
-            trace,
-        };
-        if let Some(m) = metrics {
-            m.counter_add("dram.requests_served", outcome.completions.len() as u64);
-            m.counter_add("dram.row_hits", row_hits);
-            m.counter_add("dram.row_misses", row_misses);
-            m.counter_add("dram.refreshes", refreshes);
-            m.counter_add("dram.mode_switches", mode_switches);
-            m.gauge_set("dram.hit_rate", outcome.hit_rate());
-            m.gauge_set("dram.finished_at_ns", outcome.finished_at.as_ns());
-        }
-        outcome
-    }
-}
-
-/// One in-flight controller simulation as a kernel [`Process`].
-///
-/// Each delivered [`DramEvent::Kick`] runs one decision of the FR-FCFS
-/// state machine at the fire time. Every path that advances time in the
-/// classic formulation (refresh, mode-switch penalty, serve, idle wait)
-/// instead schedules the follow-up `Kick` at that instant and returns, so
-/// exactly one event is ever pending and the run drains when the workload
-/// completes.
-struct Run<'a> {
-    timing: &'a DramTiming,
-    cfg: &'a ControllerConfig,
-    trace: Trace,
-    metrics: Option<&'a mut MetricsRegistry>,
-    pending: VecDeque<Request>,
-    mode: Mode,
-    banks: Vec<Bank>,
-    read_q: VecDeque<Request>,
-    write_q: VecDeque<Request>,
-    promoted_hits: u32,
-    batch_served: u32,
-    next_refresh: SimTime,
-    completions: Vec<Completion>,
-    read_latency: Summary,
-    write_latency: Summary,
-    read_latency_by_master: BTreeMap<MasterId, Summary>,
-    row_hits: u64,
-    row_misses: u64,
-    refreshes: u64,
-    mode_switches: u64,
-    finished_at: SimTime,
-}
-
-impl Process for Run<'_> {
-    type Event = DramEvent;
-
-    fn handle(&mut self, _event: DramEvent, sink: &mut dyn EventSink<DramEvent>) {
-        let mut now = sink.now();
-        self.finished_at = now;
-        let t = self.timing;
-        let cfg = self.cfg;
-
-        // Admit arrivals up to `now`, respecting queue capacities.
-        while let Some(front) = self.pending.front() {
-            if front.arrival > now {
-                break;
-            }
-            let (queue, cap) = match front.kind {
-                RequestKind::Read => (&mut self.read_q, cfg.read_queue_capacity),
-                RequestKind::Write => (&mut self.write_q, cfg.write_queue_capacity),
-            };
-            if queue.len() >= cap {
-                break; // back-pressure: retry after progress
-            }
-            queue.push_back(self.pending.pop_front().expect("front exists"));
-        }
-
-        if self.read_q.is_empty() && self.write_q.is_empty() {
-            let Some(next) = self.pending.front() else {
-                return; // workload complete: let the engine drain
-            };
-            let next_arrival = next.arrival;
-            // Idle: jump to the next arrival (serving refreshes that fall
-            // inside the idle gap).
-            while self.next_refresh <= next_arrival {
-                let span = Span::begin("dram.refresh_stall_ns", self.next_refresh.max(now));
-                now = self.next_refresh.max(now) + SimDuration::from_ns(t.t_rfc);
-                for b in &mut self.banks {
-                    b.open_row = None;
-                }
-                self.refreshes += 1;
-                self.trace.record(now, "dram", "refresh", None);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    span.end(m, now);
-                }
-                self.next_refresh += SimDuration::from_ns(t.t_refi);
-            }
-            sink.schedule_at(now.max(next_arrival), DramEvent::Kick);
-            return;
-        }
-
-        // Refresh: highest priority once the timer has expired.
-        if now >= self.next_refresh {
-            let span = Span::begin("dram.refresh_stall_ns", now);
-            now += SimDuration::from_ns(t.t_rfc);
-            for b in &mut self.banks {
-                b.open_row = None;
-            }
-            self.refreshes += 1;
-            self.trace.record(now, "dram", "refresh", None);
-            if let Some(m) = self.metrics.as_deref_mut() {
-                span.end(m, now);
-            }
-            self.next_refresh += SimDuration::from_ns(t.t_refi);
-            sink.schedule_at(now, DramEvent::Kick);
-            return;
-        }
-
-        // Watermark policy (Fig. 5).
-        match self.mode {
-            Mode::Read => {
-                let go_write = self.write_q.len() >= cfg.w_high as usize
-                    || (self.read_q.is_empty() && self.write_q.len() >= cfg.w_low as usize);
-                if go_write && !self.write_q.is_empty() {
-                    self.mode = Mode::Write;
-                    self.mode_switches += 1;
-                    self.batch_served = 0;
-                    now += SimDuration::from_ns(t.t_rtw);
-                    self.trace.record(
-                        now,
-                        "dram",
-                        "switch-to-write",
-                        Some(self.write_q.len() as i64),
-                    );
-                    sink.schedule_at(now, DramEvent::Kick);
-                    return;
-                }
-            }
-            Mode::Write => {
-                let drained = self.write_q.len() <= cfg.w_low.saturating_sub(cfg.n_wd) as usize;
-                let go_read = self.write_q.is_empty()
-                    || (!self.read_q.is_empty() && self.batch_served >= cfg.n_wd)
-                    || (self.read_q.is_empty() && drained && !self.read_q.is_empty());
-                if go_read {
-                    self.mode = Mode::Read;
-                    self.mode_switches += 1;
-                    self.promoted_hits = 0;
-                    now += SimDuration::from_ns(t.t_wr + t.t_wtr + t.t_cl);
-                    self.trace.record(
-                        now,
-                        "dram",
-                        "switch-to-read",
-                        Some(self.write_q.len() as i64),
-                    );
-                    sink.schedule_at(now, DramEvent::Kick);
-                    return;
-                }
-            }
-        }
-
-        // Serve one request in the current mode.
-        let (req, was_hit) = match self.mode {
-            Mode::Read => {
-                if self.read_q.is_empty() {
-                    // Nothing to read and the watermark keeps us out of
-                    // write mode: wait for the next arrival or refresh.
-                    let wake = self
-                        .pending
-                        .front()
-                        .map(|r| r.arrival)
-                        .unwrap_or(SimTime::MAX)
-                        .min(self.next_refresh);
-                    // If only writes remain below the watermark, drain
-                    // them rather than deadlock.
-                    if self.pending.is_empty() && !self.write_q.is_empty() {
-                        self.mode = Mode::Write;
-                        self.mode_switches += 1;
-                        self.batch_served = 0;
-                        now += SimDuration::from_ns(t.t_rtw);
-                        self.trace.record(
-                            now,
-                            "dram",
-                            "switch-to-write",
-                            Some(self.write_q.len() as i64),
-                        );
-                        sink.schedule_at(now, DramEvent::Kick);
-                        return;
-                    }
-                    sink.schedule_at(wake, DramEvent::Kick);
-                    return;
-                }
-                // First-ready: prefer the oldest row hit while under the
-                // promotion cap.
-                let hit_idx = self
-                    .read_q
-                    .iter()
-                    .position(|r| self.banks[r.bank as usize].open_row == Some(r.row));
-                let idx = match hit_idx {
-                    Some(i) if self.promoted_hits < cfg.n_cap || i == 0 => i,
-                    _ => 0,
-                };
-                let req = self.read_q.remove(idx).expect("index in range");
-                let is_promotion = idx > 0;
-                let was_hit = self.banks[req.bank as usize].open_row == Some(req.row);
-                if is_promotion && was_hit {
-                    self.promoted_hits += 1;
-                } else if !was_hit {
-                    self.promoted_hits = 0;
-                }
-                (req, was_hit)
-            }
-            Mode::Write => {
-                let req = self.write_q.pop_front().expect("write mode implies writes");
-                let was_hit = self.banks[req.bank as usize].open_row == Some(req.row);
-                self.batch_served += 1;
-                (req, was_hit)
-            }
-        };
-
-        let bank = &mut self.banks[req.bank as usize];
-        let finished = if was_hit {
-            self.row_hits += 1;
-            now + SimDuration::from_ns(t.t_burst)
-        } else {
-            self.row_misses += 1;
-            // Activate cannot start before the bank's tRC window
-            // elapses; the precharge+activate+CAS pipeline follows.
-            let begin = now.max(bank.ready_at);
-            let cas = match req.kind {
-                RequestKind::Read => t.t_cl,
-                RequestKind::Write => t.t_cl, // CWL approximated by CL
-            };
-            let done = begin + SimDuration::from_ns(t.t_rp + t.t_rcd + cas + t.t_burst);
-            // The activate issues at `begin + tRP`; the next activate to
-            // this bank must trail it by tRC, so the next miss's precharge
-            // may start at `begin + tRP + tRAS` (= `begin + tRC`).
-            // Back-to-back same-bank misses are therefore spaced by
-            // `max(tRC, pipeline)`, which is what
-            // [`DramTiming::read_miss_cost`] models.
-            bank.ready_at = begin + SimDuration::from_ns(t.t_rp + t.t_ras);
-            bank.open_row = Some(req.row);
-            done
-        };
-        if let Some(m) = self.metrics.as_deref_mut() {
-            // Depth *after* dequeuing: what the next arrival sees.
-            m.observe("dram.read_queue_depth", self.read_q.len() as f64);
-            m.observe("dram.write_queue_depth", self.write_q.len() as f64);
-        }
-        match req.kind {
-            RequestKind::Read => {
-                let lat = finished.saturating_since(req.arrival).as_ns();
-                self.read_latency.record(lat);
-                self.read_latency_by_master
-                    .entry(req.master)
-                    .or_default()
-                    .record(lat);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.observe("dram.read_latency_ns", lat);
-                }
-            }
-            RequestKind::Write => {
-                let lat = finished.saturating_since(req.arrival).as_ns();
-                self.write_latency.record(lat);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.observe("dram.write_latency_ns", lat);
-                }
-            }
-        }
-        self.completions.push(Completion {
-            request: req,
-            finished,
-            row_hit: was_hit,
-        });
-        sink.schedule_at(finished, DramEvent::Kick);
-    }
-
-    fn tag(&self, _event: &DramEvent) -> &'static str {
-        "dram.kick"
+        )
     }
 }
 

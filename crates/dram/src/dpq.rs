@@ -19,22 +19,21 @@
 //! The arbiter runs a **close-page** policy: every access pays the full
 //! precharge→activate→CAS pipeline and re-arms its bank's `tRC` window.
 //! That forfeits row-hit throughput but removes history-dependence from
-//! the per-access cost, which is what makes the bound composable. Refresh
-//! is modelled exactly like the FR-FCFS controller: every `tREFI`,
-//! costing `tRFC`, issued between accesses.
+//! the per-access cost, which is what makes the bound composable.
 //!
-//! The simulator reuses the shared event kernel ([`Engine`]) with the
-//! single-pending-`Kick` pattern of [`crate::controller`], so DPQ runs
-//! are deterministic and comparable event-for-event with FR-FCFS runs in
-//! the cross-arbiter conformance family.
+//! The policy keeps only its per-master FIFOs and its rotation; the
+//! controller driver of [`crate::controller`] admits arrivals, refreshes
+//! every `tREFI` (costing `tRFC`, between accesses), times the banks and
+//! accounts the run, exactly as for FR-FCFS. DPQ runs are therefore
+//! deterministic and comparable event-for-event with FR-FCFS runs in the
+//! cross-arbiter conformance family.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use autoplat_sim::engine::{Engine, EventSink, Process};
-use autoplat_sim::{SimDuration, SimTime, Summary, Trace};
+use autoplat_sim::SimTime;
 
-use crate::controller::DramEvent;
-use crate::request::{Completion, MasterId, Request, RequestKind};
+use crate::controller::{simulate, Arbiter, Bank, Decision, Queued, SimOutcome};
+use crate::request::{MasterId, Request, RequestKind};
 use crate::timing::DramTiming;
 
 /// Which arbitration policy a memory controller runs.
@@ -69,37 +68,6 @@ impl ArbiterPolicy {
     /// Parses [`name`](Self::name) output back into a policy.
     pub fn parse(s: &str) -> Option<ArbiterPolicy> {
         ArbiterPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-/// Aggregate outcome of one DPQ arbiter simulation.
-#[derive(Debug, Clone)]
-pub struct DpqOutcome {
-    /// Every served request with its completion time.
-    pub completions: Vec<Completion>,
-    /// Queue depth of each request (by id) at admission: the number of
-    /// same-master requests it sat behind, **plus itself**. This is the
-    /// `d` the per-request latency bound is parameterised on.
-    pub depth_at_admission: BTreeMap<u64, u32>,
-    /// Refresh operations performed.
-    pub refreshes: u64,
-    /// Per-request end-to-end latency statistics (ns).
-    pub latency: Summary,
-    /// Time the last request completed.
-    pub finished_at: SimTime,
-    /// Behavioural trace (grants, refreshes) when enabled.
-    pub trace: Trace,
-}
-
-impl DpqOutcome {
-    /// The completion record for request `id`, if it was served.
-    pub fn completion_of(&self, id: u64) -> Option<&Completion> {
-        self.completions.iter().find(|c| c.request.id == id)
-    }
-
-    /// The admission depth recorded for request `id`.
-    pub fn depth_of(&self, id: u64) -> Option<u32> {
-        self.depth_at_admission.get(&id).copied()
     }
 }
 
@@ -139,159 +107,64 @@ impl DpqArbiter {
         self.masters
     }
 
-    /// Runs the workload to completion and reports per-request
-    /// completions, admission depths and refresh counts.
+    /// Runs the workload to completion. Every completion records its
+    /// admission depth ([`Completion::depth`](crate::request::Completion)):
+    /// the number of same-master requests it sat behind, plus itself.
     ///
     /// # Panics
     ///
     /// Panics if any request addresses a master `>= self.masters()` or a
     /// bank `>= banks`.
-    pub fn simulate<I>(&self, workload: I, trace_enabled: bool) -> DpqOutcome
+    pub fn simulate<I>(&self, workload: I, trace_enabled: bool) -> SimOutcome
     where
         I: IntoIterator<Item = Request>,
     {
-        let pending: VecDeque<Request> = {
-            let mut v: Vec<Request> = workload.into_iter().collect();
-            for r in &v {
-                assert!(
-                    r.master.0 < self.masters,
-                    "request {} names bad master {}",
-                    r.id,
-                    r.master.0
-                );
-                assert!(
-                    r.bank < self.banks,
-                    "request {} targets bad bank {}",
-                    r.id,
-                    r.bank
-                );
-            }
-            v.sort_by_key(|r| (r.arrival, r.id));
-            v.into()
-        };
-        let trace = if trace_enabled {
-            Trace::enabled()
-        } else {
-            Trace::new()
-        };
-
-        let mut state = DpqRun {
-            timing: &self.timing,
-            trace,
-            pending,
-            queues: (0..self.masters).map(|_| VecDeque::new()).collect(),
+        let workload: Vec<Request> = workload.into_iter().collect();
+        for r in &workload {
+            assert!(
+                r.master.0 < self.masters,
+                "request {} names bad master {}",
+                r.id,
+                r.master.0
+            );
+        }
+        let policy = Dpq {
+            queues: vec![VecDeque::new(); self.masters as usize],
             order: (0..self.masters).collect(),
-            bank_ready: vec![SimTime::ZERO; self.banks as usize],
-            next_refresh: SimTime::ZERO + SimDuration::from_ns(self.timing.t_refi),
-            depth_at_admission: BTreeMap::new(),
-            completions: Vec::new(),
-            latency: Summary::new(),
-            refreshes: 0,
-            finished_at: SimTime::ZERO,
         };
-
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::ZERO, DramEvent::Kick);
-        engine.run(&mut state);
-
-        let DpqRun {
-            trace,
-            depth_at_admission,
-            completions,
-            latency,
-            refreshes,
-            finished_at,
-            ..
-        } = state;
-        DpqOutcome {
-            completions,
-            depth_at_admission,
-            refreshes,
-            latency,
-            finished_at,
-            trace,
-        }
+        simulate(
+            &self.timing,
+            self.banks,
+            policy,
+            workload,
+            trace_enabled,
+            None,
+        )
     }
 }
 
-/// One in-flight DPQ simulation as a kernel [`Process`], mirroring the
-/// single-pending-`Kick` discipline of the FR-FCFS `Run`.
-struct DpqRun<'a> {
-    timing: &'a DramTiming,
-    trace: Trace,
-    pending: VecDeque<Request>,
-    /// One FIFO per master.
-    queues: Vec<VecDeque<Request>>,
+/// The DPQ policy: one FIFO per master and a least-recently-served
+/// rotation over the masters.
+struct Dpq {
+    queues: Vec<VecDeque<Queued>>,
     /// Masters from highest to lowest priority; a granted master moves to
-    /// the back (least-recently-served rotation).
+    /// the back.
     order: VecDeque<u32>,
-    /// Earliest next-activate time per bank (tRC rule).
-    bank_ready: Vec<SimTime>,
-    next_refresh: SimTime,
-    depth_at_admission: BTreeMap<u64, u32>,
-    completions: Vec<Completion>,
-    latency: Summary,
-    refreshes: u64,
-    finished_at: SimTime,
 }
 
-impl DpqRun<'_> {
-    /// Moves every arrived request into its master's FIFO, recording the
-    /// queue depth it lands at (1-based, counting itself).
-    fn admit(&mut self, now: SimTime) {
-        while self.pending.front().is_some_and(|r| r.arrival <= now) {
-            let req = self.pending.pop_front().expect("front checked");
-            let q = &mut self.queues[req.master.0 as usize];
-            q.push_back(req);
-            let id = q.back().expect("just pushed").id;
-            self.depth_at_admission.insert(id, q.len() as u32);
-        }
+impl Arbiter for Dpq {
+    fn admit(&mut self, req: Request) -> bool {
+        let q = &mut self.queues[req.master.0 as usize];
+        let depth = q.len() as u32 + 1;
+        q.push_back(Queued { req, depth });
+        true
     }
 
-    fn backlogged(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
+    fn is_empty(&self) -> bool {
+        self.queues.iter().all(VecDeque::is_empty)
     }
 
-    /// Performs one refresh starting at `now`, returning its end time.
-    fn refresh(&mut self, now: SimTime) -> SimTime {
-        let end = now + SimDuration::from_ns(self.timing.t_rfc);
-        self.refreshes += 1;
-        self.next_refresh += SimDuration::from_ns(self.timing.t_refi);
-        self.trace.record(now, "dpq", "refresh", None);
-        end
-    }
-}
-
-impl Process for DpqRun<'_> {
-    type Event = DramEvent;
-
-    fn handle(&mut self, _event: DramEvent, sink: &mut dyn EventSink<DramEvent>) {
-        let now = sink.now();
-        self.finished_at = self.finished_at.max(now);
-        self.admit(now);
-
-        if !self.backlogged() {
-            let Some(next) = self.pending.front() else {
-                return; // workload drained; no event re-armed, run ends
-            };
-            // Idle until the next arrival, serving any refreshes whose
-            // deadline passes during the gap.
-            let arrival = next.arrival;
-            let mut free_at = now;
-            while self.next_refresh <= arrival {
-                let start = free_at.max(self.next_refresh);
-                free_at = self.refresh(start);
-            }
-            sink.schedule_at(free_at.max(arrival), DramEvent::Kick);
-            return;
-        }
-
-        if now >= self.next_refresh {
-            let end = self.refresh(now);
-            sink.schedule_at(end, DramEvent::Kick);
-            return;
-        }
-
+    fn decide(&mut self, _banks: &[Bank], _more_arrivals: bool) -> Decision {
         // Grant the highest-priority backlogged master and rotate it to
         // the back. Masters without pending requests keep their slot (and
         // thus their priority for when they next issue).
@@ -299,35 +172,14 @@ impl Process for DpqRun<'_> {
             .order
             .iter()
             .position(|&m| !self.queues[m as usize].is_empty())
-            .expect("backlogged() checked");
+            .expect("driver decides only when backlogged");
         let master = self.order.remove(pos).expect("position valid");
         self.order.push_back(master);
-        let req = self.queues[master as usize]
+        let queued = self.queues[master as usize]
             .pop_front()
             .expect("queue non-empty");
-
-        // Close-page access: full precharge→activate→CAS pipeline, bank
-        // re-armed for tRC exactly like a row miss in the FR-FCFS model.
-        let t = self.timing;
-        let bank = &mut self.bank_ready[req.bank as usize];
-        let begin = now.max(*bank);
-        let done = begin + SimDuration::from_ns(t.t_rp + t.t_rcd + t.t_cl + t.t_burst);
-        *bank = begin + SimDuration::from_ns(t.t_rp + t.t_ras);
-
-        self.latency
-            .record(done.saturating_since(req.arrival).as_ns());
-        self.trace
-            .record(begin, "dpq", "grant", Some(req.master.0 as i64));
-        self.completions.push(Completion {
-            request: req,
-            finished: done,
-            row_hit: false,
-        });
-        sink.schedule_at(done, DramEvent::Kick);
-    }
-
-    fn tag(&self, _event: &DramEvent) -> &'static str {
-        "dpq.kick"
+        // Close-page: never served as a row hit.
+        Decision::Serve { queued, hit: false }
     }
 }
 

@@ -1,4 +1,4 @@
-//! FR-FCFS DRAM controller modelling and worst-case delay analysis.
+//! DRAM controller modelling and worst-case delay analysis.
 //!
 //! This crate reproduces §IV-A of the DATE'21 paper "The Road towards
 //! Predictable Automotive High-Performance Platforms": worst-case delay
@@ -12,10 +12,14 @@
 //!   verbatim, and the method "can be applied to any memory technology by
 //!   just changing the values of the timing parameters", so DDR4/LPDDR4
 //!   presets are provided too;
-//! * [`controller`] — a cycle-approximate discrete-event simulator of the
-//!   controller of Fig. 4: separate read/write queues, row-hit promotion
-//!   capped at `N_cap`, watermark-based write batching
-//!   (`W_high`/`W_low`/`N_wd`, Fig. 5), and periodic refresh;
+//! * [`controller`] — a cycle-approximate discrete-event simulator: one
+//!   driver (admission with back-pressure, periodic refresh, per-bank row
+//!   and `tRC` state, accounting into one [`SimOutcome`]) under two
+//!   arbitration policies. The FR-FCFS policy is the controller of Fig. 4:
+//!   separate read/write queues, row-hit promotion capped at `N_cap` and
+//!   watermark-based write batching (`W_high`/`W_low`/`N_wd`, Fig. 5). The
+//!   [`dpq`] policy (Shah et al.) keeps per-master FIFOs in
+//!   least-recently-served rotation with close-page accesses;
 //! * [`wcd`] — the analytic **upper and lower bounds** on the WCD of a read
 //!   miss entering the read queue at position `N` (the algorithm of
 //!   §IV-A: serve `N` misses, add `N_cap` back-to-back hits, then iterate
@@ -60,10 +64,8 @@ pub mod wcd;
 pub use channel::{ChannelAccess, DramChannel};
 pub use config::ControllerConfig;
 pub use controller::{
-    adversarial_wcd_workload, validation_controller, DramEvent, FrFcfsController,
+    adversarial_wcd_workload, validation_controller, DramEvent, FrFcfsController, SimOutcome,
 };
-pub use dpq::{
-    adversarial_dpq_probe, adversarial_dpq_workload, ArbiterPolicy, DpqArbiter, DpqOutcome,
-};
+pub use dpq::{adversarial_dpq_probe, adversarial_dpq_workload, ArbiterPolicy, DpqArbiter};
 pub use request::{Request, RequestKind};
 pub use timing::DramTiming;

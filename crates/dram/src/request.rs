@@ -100,6 +100,10 @@ pub struct Completion {
     pub finished: SimTime,
     /// Whether it was served as a row hit.
     pub row_hit: bool,
+    /// Depth of its queue at admission: the requests queued ahead of it
+    /// in the same queue, plus itself. Under DPQ this is the `d` the
+    /// per-request latency bound is parameterised on.
+    pub depth: u32,
 }
 
 impl Completion {
@@ -134,6 +138,7 @@ mod tests {
             request: req,
             finished: SimTime::from_ns(148.75),
             row_hit: false,
+            depth: 1,
         };
         assert_eq!(c.latency(), SimDuration::from_ns(48.75));
     }

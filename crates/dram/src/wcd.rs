@@ -326,8 +326,8 @@ pub struct DpqParams {
     pub masters: u32,
     /// Queue depth `d` of the request under study at admission, 1-based
     /// and counting the request itself (the `d`-th pending request of its
-    /// master). Matches
-    /// [`DpqOutcome::depth_at_admission`](crate::dpq::DpqOutcome).
+    /// master): the [`Completion::depth`](crate::request::Completion) of a
+    /// DPQ run.
     pub queue_depth: u32,
 }
 
@@ -703,7 +703,7 @@ mod tests {
                     let arb = DpqArbiter::new(timing.clone(), masters, masters);
                     let out = arb.simulate(adversarial_dpq_workload(masters, depth), false);
                     for c in &out.completions {
-                        let d = out.depth_of(c.request.id).expect("depth recorded");
+                        let d = c.depth;
                         let b = dpq_upper_bound(&DpqParams {
                             timing: timing.clone(),
                             masters,

@@ -149,6 +149,83 @@ mod controller {
     }
 }
 
+mod dpq {
+    use super::*;
+    use autoplat_dram::request::MasterId;
+    use autoplat_dram::wcd::{dpq_upper_bound, DpqParams};
+    use autoplat_dram::{DpqArbiter, Request, RequestKind};
+    use autoplat_sim::SimTime;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random multi-master, multi-bank workloads with arrivals spread
+        /// over up to four refresh intervals: every request completes
+        /// exactly once, each master is served in arrival order, and
+        /// every latency is within the DPQ bound at its admission depth.
+        #[test]
+        fn dpq_serves_in_order_within_the_bound(
+            preset in 0u8..3,
+            masters in 1u32..6,
+            banks in 1u32..9,
+            span_refi in 0.0f64..4.0,
+            reqs in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), 0u64..16, any::<bool>(), 0.0f64..1.0),
+                1..200,
+            ),
+        ) {
+            let timing = match preset {
+                0 => ddr3_1600(),
+                1 => ddr4_2400(),
+                _ => lpddr4_3200(),
+            };
+            let span_ns = span_refi * timing.t_refi;
+            let workload: Vec<Request> = reqs
+                .iter()
+                .enumerate()
+                .map(|(i, &(master, bank, row, write, at))| {
+                    Request::new(
+                        i as u64,
+                        MasterId(master % masters),
+                        if write { RequestKind::Write } else { RequestKind::Read },
+                        bank % banks,
+                        row,
+                        SimTime::from_ns(at * span_ns),
+                    )
+                })
+                .collect();
+            let out = DpqArbiter::new(timing.clone(), masters, banks).simulate(workload.clone(), false);
+
+            let mut ids: Vec<u64> = out.completions.iter().map(|c| c.request.id).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..workload.len() as u64).collect::<Vec<_>>());
+
+            let mut last: Vec<Option<(SimTime, u64)>> = vec![None; masters as usize];
+            for c in &out.completions {
+                let key = (c.request.arrival, c.request.id);
+                let prev = &mut last[c.request.master.0 as usize];
+                prop_assert!(prev.is_none_or(|p| p < key), "master {} out of order", c.request.master);
+                *prev = Some(key);
+
+                let depth = out.depth_of(c.request.id).expect("depth recorded");
+                let bound = dpq_upper_bound(&DpqParams {
+                    timing: timing.clone(),
+                    masters,
+                    queue_depth: depth,
+                })
+                .expect("bound exists");
+                let lat = c.latency().as_ns();
+                prop_assert!(
+                    lat <= bound.delay_ns + 1e-6,
+                    "request {} at depth {depth}: {lat} ns > bound {} ns",
+                    c.request.id,
+                    bound.delay_ns
+                );
+            }
+        }
+    }
+}
+
 /// Regression pinned from `properties.proptest-regressions` (seed
 /// `cc 7370043e…`): LPDDR4-3200 with a small write batch (`N_wd = 6`)
 /// and a write rate that lands *just past* saturation — the short batch
